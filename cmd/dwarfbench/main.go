@@ -41,7 +41,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: table2, table4, table5, bao, query, storequery, parallel, serve, ingest, compact, http, cache, cluster, all")
+	exp := flag.String("exp", "all", "experiment: table2, table4, table5, bao, query, storequery, parallel, serve, ingest, compact, http, cache, cluster, prune, all")
 	presetsFlag := flag.String("presets", "Day,Week,Month", "comma-separated Table 2 datasets (Day,Week,Month,TMonth,SMonth)")
 	kindsFlag := flag.String("kinds", "", "comma-separated schema models to run (default: all four)")
 	dir := flag.String("dir", "", "working directory for store files (default: a temp dir)")

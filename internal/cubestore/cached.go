@@ -157,21 +157,17 @@ func runIndexed(n int, fn func(int) error) error {
 	return nil
 }
 
-func (s *Store) groupByPlanned(dim int, sels []dwarf.Selector) (map[string]dwarf.Aggregate, error) {
-	return s.groupsAt(s.gen.Load(), dim, sels)
-}
-
-// groupsAt returns the merged GroupBy map for the store state stamped gen
-// (which the caller read before any snapshot). TopK reuses it, so a TopK
-// miss also warms the GroupBy entry and vice versa.
-func (s *Store) groupsAt(gen uint64, dim int, sels []dwarf.Selector) (map[string]dwarf.Aggregate, error) {
+// groupsAt returns the merged GroupBy map over the leased state st, stamped
+// gen (which the caller read before taking the lease). TopK reuses it, so a
+// TopK miss also warms the GroupBy entry and vice versa.
+func (s *Store) groupsAt(st *storeState, gen uint64, dim int, sels []dwarf.Selector) (map[string]dwarf.Aggregate, error) {
 	key := qcache.KeyGroupBy(dim, sels)
 	if s.cache != nil {
 		if v, ok := s.cache.GetResult(key, gen); ok {
 			return v.(map[string]dwarf.Aggregate), nil
 		}
 	}
-	groups, err := s.mergedGroups(dim, sels, key)
+	groups, err := s.mergedGroups(st, dim, sels, key)
 	if err != nil {
 		return nil, err
 	}
@@ -188,8 +184,7 @@ func (s *Store) groupsAt(gen uint64, dim int, sels []dwarf.Selector) (map[string
 // live) into a fresh map. Frozen memtables are recomputed like the live one
 // — they have no backing file to key never-stale partials on, and they
 // disappear into a segment shortly anyway.
-func (s *Store) mergedGroups(dim int, sels []dwarf.Selector, qkey string) (map[string]dwarf.Aggregate, error) {
-	st := s.state.Load()
+func (s *Store) mergedGroups(st *storeState, dim int, sels []dwarf.Selector, qkey string) (map[string]dwarf.Aggregate, error) {
 	live, err := st.mem.Cube()
 	if err != nil {
 		return nil, err
@@ -254,15 +249,14 @@ func memtableCubes(st *storeState, live *dwarf.Cube) ([]*dwarf.Cube, error) {
 	return append(out, live), nil
 }
 
-func (s *Store) pivotPlanned(dims []int, sels []dwarf.Selector) ([]dwarf.PivotGroup, error) {
-	gen := s.gen.Load()
+func (s *Store) pivotPlanned(st *storeState, gen uint64, dims []int, sels []dwarf.Selector) ([]dwarf.PivotGroup, error) {
 	key := qcache.KeyPivot(dims, sels)
 	if s.cache != nil {
 		if v, ok := s.cache.GetResult(key, gen); ok {
 			return v.([]dwarf.PivotGroup), nil
 		}
 	}
-	rows, err := s.mergedPivot(dims, sels, key)
+	rows, err := s.mergedPivot(st, dims, sels, key)
 	if err != nil {
 		return nil, err
 	}
@@ -273,8 +267,7 @@ func (s *Store) pivotPlanned(dims []int, sels []dwarf.Selector) ([]dwarf.PivotGr
 }
 
 // mergedPivot is mergedGroups for the multi-dimension shape.
-func (s *Store) mergedPivot(dims []int, sels []dwarf.Selector, qkey string) ([]dwarf.PivotGroup, error) {
-	st := s.state.Load()
+func (s *Store) mergedPivot(st *storeState, dims []int, sels []dwarf.Selector, qkey string) ([]dwarf.PivotGroup, error) {
 	live, err := st.mem.Cube()
 	if err != nil {
 		return nil, err
@@ -325,15 +318,14 @@ func (s *Store) mergedPivot(dims []int, sels []dwarf.Selector, qkey string) ([]d
 	return dwarf.MergePivotGroups(parts...), nil
 }
 
-func (s *Store) topKPlanned(dim int, sels []dwarf.Selector, spec dwarf.TopKSpec) ([]dwarf.GroupEntry, error) {
-	gen := s.gen.Load()
+func (s *Store) topKPlanned(st *storeState, gen uint64, dim int, sels []dwarf.Selector, spec dwarf.TopKSpec) ([]dwarf.GroupEntry, error) {
 	key := qcache.KeyTopK(dim, sels, spec)
 	if s.cache != nil {
 		if v, ok := s.cache.GetResult(key, gen); ok {
 			return v.([]dwarf.GroupEntry), nil
 		}
 	}
-	groups, err := s.groupsAt(gen, dim, sels)
+	groups, err := s.groupsAt(st, gen, dim, sels)
 	if err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package cubestore
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -193,15 +194,16 @@ func writeManifest(dir string, m manifest) error {
 	return fsyncDir(dir)
 }
 
-// writeSegmentFile atomically writes encoded cube bytes as a new segment
-// file, durable before return.
-func writeSegmentFile(dir, name string, encoded []byte) error {
+// writeSegmentFile atomically writes a new segment or rollup file, durable
+// before return: encode streams the cube bytes straight into a temp file,
+// which is synced and renamed into place.
+func writeSegmentFile(dir, name string, encode func(io.Writer) error) error {
 	tmp, err := os.CreateTemp(dir, segPrefix+"*"+tmpSuffix)
 	if err != nil {
 		return err
 	}
 	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(encoded); err != nil {
+	if err := encode(tmp); err != nil {
 		tmp.Close()
 		return err
 	}

@@ -54,7 +54,7 @@ func plannerState(t *testing.T, storeDims []string, segFiles []string, rollupDim
 	if rollupDims != nil {
 		r, err := newRollupSeg(rollupMeta{
 			File: "rollup-1.dwarf", Dims: rollupDims, Covers: covers, Tuples: 5,
-		}, nil, nil, storeDims)
+		}, nil, storeDims)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -35,7 +35,7 @@ type rollupSpec struct {
 // rollupSeg is one live rollup segment with its planner lookup tables.
 type rollupSeg struct {
 	meta rollupMeta
-	data []byte
+	file *mappedFile
 	view *dwarf.CubeView
 	// dimIdx maps rollup dimension position -> store dimension index;
 	// pos maps store dimension index -> rollup position (-1 if dropped).
@@ -94,18 +94,22 @@ func normalizeRollupSpecs(specs [][]string, dims []string) ([]rollupSpec, error)
 	return out, nil
 }
 
-// newRollupSeg builds the planner lookup tables for one rollup.
-func newRollupSeg(meta rollupMeta, data []byte, view *dwarf.CubeView, dims []string) (*rollupSeg, error) {
+// newRollupSeg builds the planner lookup tables for one rollup over the
+// mapped file f (nil in planner tests, which never execute).
+func newRollupSeg(meta rollupMeta, f *mappedFile, dims []string) (*rollupSeg, error) {
 	at := make(map[string]int, len(dims))
 	for i, d := range dims {
 		at[d] = i
 	}
-	r := &rollupSeg{meta: meta, data: data, view: view, pos: make([]int, len(dims))}
+	r := &rollupSeg{meta: meta, file: f, pos: make([]int, len(dims))}
+	if f != nil {
+		r.view = f.vf.CubeView
+	}
 	r.zones = meta.Zones
 	if len(r.zones) != len(meta.Dims) {
 		r.zones = nil
-		if view != nil {
-			r.zones = view.ZoneMaps()
+		if r.view != nil {
+			r.zones = r.view.ZoneMaps()
 		}
 	}
 	for i := range r.pos {
@@ -122,21 +126,19 @@ func newRollupSeg(meta rollupMeta, data []byte, view *dwarf.CubeView, dims []str
 	return r, nil
 }
 
-// openRollups loads every manifest-listed rollup. Like segments, a listed
-// rollup that is missing or corrupt fails Open loudly: the manifest is the
-// root of truth, and silently dropping derived state would hide damage.
+// openRollups maps and fully validates every manifest-listed rollup. Like
+// segments, a listed rollup that is missing or corrupt fails Open loudly:
+// the manifest is the root of truth, and silently dropping derived state
+// would hide damage.
 func (s *Store) openRollups() error {
 	for _, m := range s.man.Rollups {
-		data, err := os.ReadFile(filepath.Join(s.dir, m.File))
+		f, err := s.openCubeFile("rollup", m.File, true)
 		if err != nil {
-			return fmt.Errorf("cubestore: manifest lists %s: %w", m.File, err)
+			return err
 		}
-		view, err := dwarf.OpenView(data)
+		r, err := newRollupSeg(m, f, s.dims)
 		if err != nil {
-			return fmt.Errorf("cubestore: rollup %s: %w", m.File, err)
-		}
-		r, err := newRollupSeg(m, data, view, s.dims)
-		if err != nil {
+			f.unmap()
 			return err
 		}
 		s.rollups = append(s.rollups, r)
@@ -218,7 +220,8 @@ func sameFiles(a, b []string) bool {
 // that are neither configured nor covering (reopened with different
 // Options.Rollups, then outrun by compaction) are dropped. Callers hold
 // compactMu — the segment set can only grow (seals) while this runs, so a
-// committed cover stays a subset of the live set.
+// committed cover stays a subset of the live set. The rollup builds read
+// the segments of a leased snapshot.
 func (s *Store) maintainRollups() error {
 	if len(s.rollupSpecs) == 0 && len(s.rollups) == 0 {
 		return nil
@@ -228,12 +231,18 @@ func (s *Store) maintainRollups() error {
 		s.mu.Unlock()
 		return ErrClosed
 	}
-	segs := append([]*segment(nil), s.segs...)
-	existing := make(map[string]*rollupSeg, len(s.rollups))
-	for _, r := range s.rollups {
+	// Under mu the published state is exactly s.segs and s.rollups.
+	st, err := s.acquire()
+	s.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	defer st.release()
+	segs := st.segs
+	existing := make(map[string]*rollupSeg, len(st.rollups))
+	for _, r := range st.rollups {
 		existing[dimsKey(r.meta.Dims)] = r
 	}
-	s.mu.Unlock()
 	cover := make([]string, len(segs))
 	liveFiles := make(map[string]bool, len(segs))
 	for i, seg := range segs {
@@ -308,14 +317,6 @@ func (s *Store) swapRollup(spec rollupSpec, segs []*segment, cover []string) err
 	if err != nil {
 		return err
 	}
-	encoded, err := encodeCube(cube)
-	if err != nil {
-		return err
-	}
-	view, err := dwarf.OpenViewTrusted(encoded)
-	if err != nil {
-		return err
-	}
 
 	s.mu.Lock()
 	if s.closed {
@@ -328,8 +329,20 @@ func (s *Store) swapRollup(spec rollupSpec, segs []*segment, cover []string) err
 	id := s.man.NextSegID
 	s.man.NextSegID++
 	s.mu.Unlock()
-	meta := rollupMeta{File: rollupFileName(id), Dims: spec.names, Covers: cover, Tuples: len(rows), Zones: view.ZoneMaps()}
-	if err := writeSegmentFile(s.dir, meta.File, encoded); err != nil {
+	name := rollupFileName(id)
+	f, err := s.writeCubeFile("rollup", name, cube.EncodeIndexed)
+	if err != nil {
+		return err
+	}
+	published := false
+	defer func() {
+		if !published {
+			f.unmap()
+		}
+	}()
+	meta := rollupMeta{File: name, Dims: spec.names, Covers: cover, Tuples: len(rows), Zones: f.vf.ZoneMaps()}
+	r, err := newRollupSeg(meta, f, s.dims)
+	if err != nil {
 		return err
 	}
 
@@ -337,10 +350,6 @@ func (s *Store) swapRollup(spec rollupSpec, segs []*segment, cover []string) err
 	defer s.mu.Unlock()
 	if s.closed {
 		return ErrClosed
-	}
-	r, err := newRollupSeg(meta, encoded, view, s.dims)
-	if err != nil {
-		return err
 	}
 	newMan := s.man.clone()
 	if newMan.NextSegID <= id {
@@ -375,6 +384,7 @@ func (s *Store) swapRollup(spec rollupSpec, segs []*segment, cover []string) err
 	// resurrected file is re-deleted as an orphan on the next open.
 	s.noteDirSync(fsyncDir(s.dir))
 	s.publish()
+	published = true
 	return nil
 }
 

@@ -25,9 +25,9 @@
 package cubestore
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -133,11 +133,12 @@ func (o Options) cubeOptions() []dwarf.Option {
 }
 
 // segment is one sealed, immutable cube segment: its manifest entry, its
-// encoded bytes (heap-backed, so readers holding a snapshot stay valid
-// after compaction deletes the file) and the zero-copy view over them.
+// mapped file (kept mapped by the states listing it, so readers holding a
+// lease stay valid after compaction deletes the file; see lease.go) and
+// the zero-copy view over it.
 type segment struct {
 	meta segmentMeta
-	data []byte
+	file *mappedFile
 	view *dwarf.CubeView
 	// zones are the segment's per-dimension zone maps: the manifest entry's
 	// copy when present, else the view's own (v3 streams), else nil — and a
@@ -165,7 +166,11 @@ type frozenMem struct {
 // when one seals, its cube moves to the end of segs and off the front of
 // frozen, so the merge order of every tuple is stable across the
 // transition.
+//
+// refs counts the store's own reference plus one per reader lease; the
+// state's segment and rollup files stay mapped while it is non-zero.
 type storeState struct {
+	refs    atomic.Int64
 	segs    []*segment
 	rollups []*rollupSeg
 	frozen  []*frozenMem
@@ -235,7 +240,11 @@ type Store struct {
 	segs        []*segment
 	rollups     []*rollupSeg
 
-	state atomic.Pointer[storeState]
+	// state is the current read snapshot (nil once Close retires it).
+	// mappings counts segment and rollup files currently mapped: listed
+	// ones, plus replaced ones a reader lease still holds.
+	state    atomic.Pointer[storeState]
+	mappings atomic.Int64
 
 	// gen is the store's visible-state generation: it starts from the
 	// manifest's persisted value and is bumped on every visible transition
@@ -417,6 +426,17 @@ func Open(dir string, opts Options) (*Store, error) {
 	if opts.CacheBytes > 0 {
 		s.cache = qcache.New(opts.CacheBytes)
 	}
+	defer func() {
+		if !ok {
+			// Nothing was published yet: the mappings are owned here.
+			for _, seg := range s.segs {
+				seg.file.unmap()
+			}
+			for _, r := range s.rollups {
+				r.file.unmap()
+			}
+		}
+	}()
 	if err := s.removeOrphans(); err != nil {
 		return nil, err
 	}
@@ -515,24 +535,20 @@ func (s *Store) removeOrphans() error {
 	return nil
 }
 
-// openSegments loads and fully validates every manifest-listed segment. A
+// openSegments maps and fully validates every manifest-listed segment. A
 // listed segment that is missing or corrupt is real data loss, so Open
 // fails loudly rather than serving partial answers.
 func (s *Store) openSegments() error {
 	for _, m := range s.man.Segments {
-		data, err := os.ReadFile(filepath.Join(s.dir, m.File))
+		f, err := s.openCubeFile("segment", m.File, true)
 		if err != nil {
-			return fmt.Errorf("cubestore: manifest lists %s: %w", m.File, err)
-		}
-		view, err := dwarf.OpenView(data)
-		if err != nil {
-			return fmt.Errorf("cubestore: segment %s: %w", m.File, err)
+			return err
 		}
 		zones := m.Zones
 		if len(zones) != len(s.dims) {
-			zones = view.ZoneMaps()
+			zones = f.vf.ZoneMaps()
 		}
-		s.segs = append(s.segs, &segment{meta: m, data: data, view: view, zones: zones})
+		s.segs = append(s.segs, &segment{meta: m, file: f, view: f.vf.CubeView, zones: zones})
 	}
 	return nil
 }
@@ -579,8 +595,10 @@ func (s *Store) recoverWAL() error {
 // publish installs the current segments + rollups + memtable as the read
 // snapshot and bumps the generation: every visible transition (seal,
 // compaction, rollup swap, plus Append bumping directly) invalidates
-// generation-stamped cached results. Callers hold mu (or are still
-// single-goroutine in Open).
+// generation-stamped cached results. The new state takes a reference on
+// each of its files before the old state is retired, so a file listed by
+// both stays mapped. Callers hold mu (or are still single-goroutine in
+// Open).
 func (s *Store) publish() {
 	segs := make([]*segment, len(s.segs))
 	copy(segs, s.segs)
@@ -588,7 +606,15 @@ func (s *Store) publish() {
 	copy(rollups, s.rollups)
 	frozen := make([]*frozenMem, len(s.frozen))
 	copy(frozen, s.frozen)
-	s.state.Store(&storeState{segs: segs, rollups: rollups, frozen: frozen, mem: s.mem})
+	st := &storeState{segs: segs, rollups: rollups, frozen: frozen, mem: s.mem}
+	st.refs.Store(1)
+	for _, seg := range st.segs {
+		seg.file.retain()
+	}
+	for _, r := range st.rollups {
+		r.file.retain()
+	}
+	s.retire(st)
 	s.gen.Add(1)
 }
 
@@ -942,15 +968,7 @@ func (s *Store) sealFrozen(fz *frozenMem) error {
 	if err != nil {
 		return err
 	}
-	encoded, err := encodeCube(cube)
-	if err != nil {
-		return err
-	}
 	if err := s.fail(fpSealBuilt); err != nil {
-		return err
-	}
-	view, err := dwarf.OpenViewTrusted(encoded)
-	if err != nil {
 		return err
 	}
 	// Reserve the output id so a compaction racing with this seal cannot
@@ -964,10 +982,17 @@ func (s *Store) sealFrozen(fz *frozenMem) error {
 	id := s.man.NextSegID
 	s.man.NextSegID++
 	s.mu.Unlock()
-	meta := segmentMeta{File: segFileName(id), Tuples: fz.count, Zones: view.ZoneMaps()}
-	if err := writeSegmentFile(s.dir, meta.File, encoded); err != nil {
+	seg, err := s.writeSegment(segFileName(id), fz.count, cube.EncodeIndexed)
+	if err != nil {
 		return err
 	}
+	published := false
+	defer func() {
+		if !published {
+			seg.file.unmap()
+		}
+	}()
+	meta := seg.meta
 	if err := s.fail(fpSealSegmentWritten); err != nil {
 		return err
 	}
@@ -1007,7 +1032,7 @@ func (s *Store) sealFrozen(fz *frozenMem) error {
 	// is frozen[0] (FIFO), so appending its segment and popping the front
 	// keeps every tuple's position in the fan-out order unchanged.
 	s.man = newMan
-	s.segs = append(s.segs, &segment{meta: meta, data: encoded, view: view, zones: meta.Zones})
+	s.segs = append(s.segs, seg)
 	s.frozen = s.frozen[1:]
 	if s.fatalErr != nil && newGen > s.fatalGen {
 		// The suspect generation is now dead and about to be deleted; disk
@@ -1015,6 +1040,7 @@ func (s *Store) sealFrozen(fz *frozenMem) error {
 		s.fatalErr = nil
 	}
 	s.publish()
+	published = true
 	s.seals.Add(1)
 	s.lastSealErr = ""
 	s.mu.Unlock()
@@ -1053,12 +1079,20 @@ func (s *Store) noteDirSync(err error) {
 	s.errMu.Unlock()
 }
 
-func encodeCube(c *dwarf.Cube) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := c.EncodeIndexed(&buf); err != nil {
+// writeSegment streams one new segment file through encode, maps it, and
+// reads its zone maps back from the mapped view. The segment is not yet
+// listed or published: on any later failure the caller unmaps it, and the
+// file is an orphan the next Open removes.
+func (s *Store) writeSegment(name string, tuples int, encode func(io.Writer) error) (*segment, error) {
+	f, err := s.writeCubeFile("segment", name, encode)
+	if err != nil {
 		return nil, err
 	}
-	return buf.Bytes(), nil
+	zones := f.vf.ZoneMaps()
+	return &segment{
+		meta: segmentMeta{File: name, Tuples: tuples, Zones: zones},
+		file: f, view: f.vf.CubeView, zones: zones,
+	}, nil
 }
 
 // background runs age-based seals and auto-compaction until Close.
@@ -1187,61 +1221,72 @@ func (s *Store) compactOnce() (bool, error) {
 		return false, ErrClosed
 	}
 	group := s.pickCompaction()
+	if group == nil {
+		s.mu.Unlock()
+		return false, nil
+	}
 	// Reserve the output id in memory so a seal racing with this compaction
 	// cannot allocate the same segment file name; the reservation is
 	// persisted by whichever manifest swap commits first.
 	id := s.man.NextSegID
-	if group != nil {
-		s.man.NextSegID++
-	}
+	s.man.NextSegID++
+	// Lease the state the inputs were picked from, under mu so it is the
+	// current one: compactMu keeps them listed, the lease keeps them mapped.
+	st, err := s.acquire()
 	s.mu.Unlock()
-	if group == nil {
-		return false, nil
+	if err != nil {
+		return false, err
 	}
+	defer st.release()
 
 	tuples := 0
 	for _, seg := range group {
 		tuples += seg.meta.Tuples
 	}
-	var encoded []byte
+	name := segFileName(id)
+	var merged *segment
 	streamed := false
 	if !s.disableStreamingCompact {
 		views := make([]*dwarf.CubeView, len(group))
 		for i, seg := range group {
 			views[i] = seg.view
 		}
-		if enc, _, err := dwarf.MergeViewsBytes(views...); err == nil {
-			encoded = enc
-			streamed = true
+		var mergeErr error
+		merged, err = s.writeSegment(name, tuples, func(w io.Writer) error {
+			_, mergeErr = dwarf.MergeViews(w, views...)
+			return mergeErr
+		})
+		if err != nil && mergeErr == nil {
+			return false, err // an I/O failure, not one the fallback avoids
 		}
+		streamed = err == nil
 	}
-	if encoded == nil {
+	if merged == nil {
 		// Fallback: decode every input once and fold them with a single
 		// k-way merge (one coalesce pass, not k-1 pairwise re-coalesces).
 		cubes := make([]*dwarf.Cube, len(group))
 		for i, seg := range group {
-			c, err := dwarf.DecodeBytes(seg.data)
+			c, err := seg.view.Decode()
 			if err != nil {
 				return false, fmt.Errorf("cubestore: decoding %s: %w", seg.meta.File, err)
 			}
 			cubes[i] = c
 		}
-		merged, err := dwarf.MergeAll(cubes...)
+		cube, err := dwarf.MergeAll(cubes...)
 		if err != nil {
 			return false, err
 		}
-		if encoded, err = encodeCube(merged); err != nil {
+		if merged, err = s.writeSegment(name, tuples, cube.EncodeIndexed); err != nil {
 			return false, err
 		}
 	}
-	view, err := dwarf.OpenViewTrusted(encoded)
-	if err != nil {
-		return false, err
-	}
-	meta := segmentMeta{File: segFileName(id), Tuples: tuples, Zones: view.ZoneMaps()}
-	if err := writeSegmentFile(s.dir, meta.File, encoded); err != nil {
-		return false, err
-	}
+	published := false
+	defer func() {
+		if !published {
+			merged.file.unmap()
+		}
+	}()
+	meta := merged.meta
 	if err := s.fail(fpCompactSegmentWritten); err != nil {
 		return false, err
 	}
@@ -1287,7 +1332,7 @@ func (s *Store) compactOnce() (bool, error) {
 	for _, seg := range s.segs {
 		if inputs[seg.meta.File] {
 			if !insertedSeg {
-				newSegs = append(newSegs, &segment{meta: meta, data: encoded, view: view, zones: meta.Zones})
+				newSegs = append(newSegs, merged)
 				insertedSeg = true
 			}
 			os.Remove(filepath.Join(s.dir, seg.meta.File))
@@ -1301,6 +1346,7 @@ func (s *Store) compactOnce() (bool, error) {
 	// not fatal: resurrected deleted files are re-removed on the next open.
 	s.noteDirSync(fsyncDir(s.dir))
 	s.publish()
+	published = true
 	s.compactions.Add(1)
 	if streamed {
 		s.streamingCompacts.Add(1)
@@ -1329,10 +1375,11 @@ func (s *Store) pickCompaction() []*segment {
 	return byLevel[minLevel][:s.opts.CompactFanout]
 }
 
-// Close stops the committer, sealer and background compactor and closes
-// the WAL. It does not seal: live and frozen memtable tuples stay covered
-// by the live WAL generations and replay on the next Open. Appends still
-// queued (never committed) fail with ErrClosed.
+// Close stops the committer, sealer and background compactor, retires the
+// read state (later queries fail with ErrClosed) and closes the WAL. It
+// does not seal: live and frozen memtable tuples stay covered by the live
+// WAL generations and replay on the next Open. Appends still queued (never
+// committed) fail with ErrClosed.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -1351,6 +1398,9 @@ func (s *Store) Close() error {
 	s.compactMu.Unlock()
 	s.sealMu.Lock() // and a straggling explicit Seal's drain
 	s.sealMu.Unlock()
+	// Queries now fail with ErrClosed; each file is unmapped as soon as the
+	// last in-flight lease on it is released.
+	s.retire(nil)
 	err := s.wal.close()
 	s.lock.release()
 	return err
@@ -1370,8 +1420,11 @@ func (s *Store) crashClose() {
 	s.qcond.Broadcast()
 	s.qmu.Unlock()
 	s.bg.Wait()
+	s.compactMu.Lock()
+	s.compactMu.Unlock()
 	s.sealMu.Lock()
 	s.sealMu.Unlock()
+	s.retire(nil)
 	s.wal.abandon()
 	s.lock.release()
 }
@@ -1396,10 +1449,10 @@ func (s *Store) crashClose() {
 // a segment never changes the merged answer: an absent key contributes the
 // zero Aggregate, and merging zero is identity. Frozen memtables are never
 // pruned (no zone maps) and count in neither scan counter, like the live
-// memtable. The snapshot is immutable, so the query runs lock-free even
-// while commits, seals and compactions swap the store state underneath.
-func (s *Store) targets(admit func([]dwarf.ZoneMap) bool) ([]query.Querier, error) {
-	st := s.state.Load()
+// memtable. The snapshot is immutable and the caller holds a lease on it,
+// so the query runs lock-free even while commits, seals and compactions
+// swap the store state underneath.
+func (s *Store) targets(st *storeState, admit func([]dwarf.ZoneMap) bool) ([]query.Querier, error) {
 	live, err := st.mem.Cube()
 	if err != nil {
 		return nil, err
@@ -1468,7 +1521,12 @@ func fanOut[T any](targets []query.Querier, fn func(query.Querier) (T, error)) (
 }
 
 func (s *Store) aggQuery(admit func([]dwarf.ZoneMap) bool, fn func(query.Querier) (dwarf.Aggregate, error)) (dwarf.Aggregate, error) {
-	targets, err := s.targets(admit)
+	st, err := s.acquire()
+	if err != nil {
+		return dwarf.Aggregate{}, err
+	}
+	defer st.release()
+	targets, err := s.targets(st, admit)
 	if err != nil {
 		return dwarf.Aggregate{}, err
 	}
@@ -1483,9 +1541,10 @@ func (s *Store) aggQuery(admit func([]dwarf.ZoneMap) bool, fn func(query.Querier
 	return agg, nil
 }
 
-// groupQuery fans a per-key map shape out and merges the partials per key.
-func (s *Store) groupQuery(admit func([]dwarf.ZoneMap) bool, fn func(query.Querier) (map[string]dwarf.Aggregate, error)) (map[string]dwarf.Aggregate, error) {
-	targets, err := s.targets(admit)
+// groupQuery fans a per-key map shape out over the leased state st and
+// merges the partials per key.
+func (s *Store) groupQuery(st *storeState, admit func([]dwarf.ZoneMap) bool, fn func(query.Querier) (map[string]dwarf.Aggregate, error)) (map[string]dwarf.Aggregate, error) {
+	targets, err := s.targets(st, admit)
 	if err != nil {
 		return nil, err
 	}
@@ -1516,23 +1575,38 @@ func (s *Store) Range(sels []dwarf.Selector) (dwarf.Aggregate, error) {
 // With a result cache or rollup segments configured it runs through the
 // planned path in cached.go; answers are identical either way.
 func (s *Store) GroupBy(dim int, sels []dwarf.Selector) (map[string]dwarf.Aggregate, error) {
-	if (s.cache != nil || len(s.rollupSpecs) > 0) &&
-		dim >= 0 && dim < len(s.dims) && len(sels) == len(s.dims) {
-		return s.groupByPlanned(dim, sels)
+	gen := s.gen.Load() // before the lease: see the planned-path notes
+	st, err := s.acquire()
+	if err != nil {
+		return nil, err
 	}
-	return s.groupQuery(admitRange(sels), func(q query.Querier) (map[string]dwarf.Aggregate, error) {
+	defer st.release()
+	if s.planned() && dim >= 0 && dim < len(s.dims) && len(sels) == len(s.dims) {
+		return s.groupsAt(st, gen, dim, sels)
+	}
+	return s.groupQuery(st, admitRange(sels), func(q query.Querier) (map[string]dwarf.Aggregate, error) {
 		return q.GroupBy(dim, sels)
 	})
 }
+
+// planned reports whether grouped shapes run through the planner in
+// cached.go (a result cache or rollups are configured).
+func (s *Store) planned() bool { return s.cache != nil || len(s.rollupSpecs) > 0 }
 
 // Pivot is the multi-dimension GroupBy across segments and the live
 // memtable: per-target sorted rows are merged per key tuple, so the result
 // is exactly a single cube's Pivot over all acknowledged tuples.
 func (s *Store) Pivot(dims []int, sels []dwarf.Selector) ([]dwarf.PivotGroup, error) {
-	if (s.cache != nil || len(s.rollupSpecs) > 0) && validPivotArgs(dims, sels, len(s.dims)) {
-		return s.pivotPlanned(dims, sels)
+	gen := s.gen.Load()
+	st, err := s.acquire()
+	if err != nil {
+		return nil, err
 	}
-	targets, err := s.targets(admitRange(sels))
+	defer st.release()
+	if s.planned() && validPivotArgs(dims, sels, len(s.dims)) {
+		return s.pivotPlanned(st, gen, dims, sels)
+	}
+	targets, err := s.targets(st, admitRange(sels))
 	if err != nil {
 		return nil, err
 	}
@@ -1551,11 +1625,16 @@ func (s *Store) Pivot(dims []int, sels []dwarf.Selector) ([]dwarf.PivotGroup, er
 // segments — so the ranking equals a single cube's over all acknowledged
 // tuples.
 func (s *Store) TopK(dim int, sels []dwarf.Selector, spec dwarf.TopKSpec) ([]dwarf.GroupEntry, error) {
-	if (s.cache != nil || len(s.rollupSpecs) > 0) &&
-		dim >= 0 && dim < len(s.dims) && len(sels) == len(s.dims) {
-		return s.topKPlanned(dim, sels, spec)
+	gen := s.gen.Load()
+	st, err := s.acquire()
+	if err != nil {
+		return nil, err
 	}
-	groups, err := s.groupQuery(admitRange(sels), func(q query.Querier) (map[string]dwarf.Aggregate, error) {
+	defer st.release()
+	if s.planned() && dim >= 0 && dim < len(s.dims) && len(sels) == len(s.dims) {
+		return s.topKPlanned(st, gen, dim, sels, spec)
+	}
+	groups, err := s.groupQuery(st, admitRange(sels), func(q query.Querier) (map[string]dwarf.Aggregate, error) {
 		return q.GroupBy(dim, sels)
 	})
 	if err != nil {
@@ -1722,10 +1801,10 @@ func (s *Store) Stats() Stats {
 			File:   seg.meta.File,
 			Tuples: seg.meta.Tuples,
 			Level:  s.levelOf(seg.meta.Tuples),
-			Bytes:  len(seg.data),
+			Bytes:  seg.file.size,
 		})
 		st.SealedTuples += seg.meta.Tuples
-		st.SealedBytes += int64(len(seg.data))
+		st.SealedBytes += int64(seg.file.size)
 	}
 	for _, r := range s.rollups {
 		st.Rollups = append(st.Rollups, RollupInfo{
@@ -1733,7 +1812,7 @@ func (s *Store) Stats() Stats {
 			Dims:   append([]string(nil), r.meta.Dims...),
 			Covers: len(r.meta.Covers),
 			Tuples: r.meta.Tuples,
-			Bytes:  len(r.data),
+			Bytes:  r.file.size,
 		})
 	}
 	s.mu.Unlock()

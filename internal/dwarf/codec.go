@@ -476,6 +476,16 @@ func DecodeBytes(data []byte) (*Cube, error) {
 	return decodeBody(v1, h)
 }
 
+// Decode materializes the view's cube as a node graph on the heap,
+// verifying the payload checksum first like DecodeBytes. The result owns
+// its memory, so it stays valid after the view's backing bytes go away.
+func (v *CubeView) Decode() (*Cube, error) {
+	if err := verifyPayload(v.data); err != nil {
+		return nil, err
+	}
+	return decodeBody(v.data, v.hdr)
+}
+
 // decodeBody materializes the node graph of a checksum-verified stream,
 // enforcing the same structural invariants the view's index scan does:
 // levels in range and agreeing with the leaf flag, strictly sorted cell

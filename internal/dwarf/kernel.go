@@ -332,6 +332,13 @@ func (w *pivotState) walk(n Cursor, depth int) error {
 			}
 		}
 		if w.grouped[depth] {
+			if depth == w.single && !w.stable {
+				// Clone once per cell visited, before any emit: a GroupBy
+				// result map must only ever be handed stable keys, since
+				// assigning to an existing string key of a Go map replaces
+				// the stored key with the one assigned.
+				key = w.arena.clone(key)
+			}
 			w.keys[depth] = key
 		}
 		if leaf {
@@ -343,17 +350,14 @@ func (w *pivotState) walk(n Cursor, depth int) error {
 	return nil
 }
 
-// emit folds one leaf aggregate into the current group. Group keys may
-// alias source memory; they are cloned exactly once, on first insertion,
-// into the walk's shared arena rather than one heap string per key.
+// emit folds one leaf aggregate into the current group. A GroupBy key is
+// already stable (walk clones it into the arena); a Pivot's composite key
+// is cloned exactly once, on first insertion, into the same arena rather
+// than one heap string per key.
 func (w *pivotState) emit(a Aggregate) {
 	if w.single >= 0 {
 		k := w.keys[w.single]
-		old, ok := w.out[k]
-		if !ok && !w.stable {
-			k = w.arena.clone(k)
-		}
-		w.out[k] = MergeAggregates(old, a)
+		w.out[k] = MergeAggregates(w.out[k], a)
 		return
 	}
 	w.scratch = appendGroupKey(w.scratch[:0], w.keys, w.order)

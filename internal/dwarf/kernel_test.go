@@ -430,3 +430,69 @@ func BenchmarkKernelTuples(b *testing.B) {
 		}
 	})
 }
+
+// TestViewResultsOutliveBytes: a view's keys alias its backing bytes, but
+// nothing a query returns may keep aliasing them — a mapped cube file is
+// unmapped once its last reader is done, and its results live on. Wiping
+// the bytes after each query stands in for the unmap. GroupBy over a
+// dimension whose keys repeat under several prefixes is the case that
+// matters: re-assigning an existing string key of a Go map replaces the
+// stored (cloned) key with the assigned (aliasing) one.
+func TestViewResultsOutliveBytes(t *testing.T) {
+	dims := []string{"A", "B", "C"}
+	var tuples []Tuple
+	for a := 0; a < 4; a++ {
+		for b := 0; b < 5; b++ {
+			for c := 0; c < 3; c++ {
+				tuples = append(tuples, Tuple{
+					Dims:    []string{fmt.Sprintf("a%d", a), fmt.Sprintf("b%d", b), fmt.Sprintf("c%d", c)},
+					Measure: float64(1 + a + b + c),
+				})
+			}
+		}
+	}
+	cube, err := New(dims, tuples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := cube.EncodeIndexed(&buf); err != nil {
+		t.Fatal(err)
+	}
+	all := make([]Selector, len(dims))
+	ranged := []Selector{SelectRange("a1", "a3"), {}, SelectKeys("c0", "c2")}
+	for _, sels := range [][]Selector{all, ranged} {
+		for dim := range dims {
+			data := bytes.Clone(buf.Bytes())
+			v, err := OpenView(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			groups, err := v.GroupBy(dim, sels)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows, err := v.Pivot([]int{dim, (dim + 1) % len(dims)}, sels)
+			if err != nil {
+				t.Fatal(err)
+			}
+			top, err := v.TopK(dim, sels, TopKSpec{K: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			clear(data)
+			wantGroups, _ := cube.GroupBy(dim, sels)
+			if !reflect.DeepEqual(groups, wantGroups) {
+				t.Fatalf("GroupBy(%d) after wipe = %v, want %v", dim, groups, wantGroups)
+			}
+			wantRows, _ := cube.Pivot([]int{dim, (dim + 1) % len(dims)}, sels)
+			if !reflect.DeepEqual(rows, wantRows) {
+				t.Fatalf("Pivot(%d) after wipe = %v, want %v", dim, rows, wantRows)
+			}
+			wantTop, _ := cube.TopK(dim, sels, TopKSpec{K: 3})
+			if !reflect.DeepEqual(top, wantTop) {
+				t.Fatalf("TopK(%d) after wipe = %v, want %v", dim, top, wantTop)
+			}
+		}
+	}
+}

@@ -75,8 +75,7 @@ func MergeViews(dst io.Writer, views ...*CubeView) (MergeStats, error) {
 }
 
 // MergeViewsBytes is MergeViews returning the encoded stream as one
-// contiguous byte slice — the shape cubestore wants, since a sealed segment
-// keeps its encoded bytes resident for the zero-copy view anyway.
+// contiguous byte slice, for callers that keep the merged cube in memory.
 func MergeViewsBytes(views ...*CubeView) ([]byte, MergeStats, error) {
 	var stats MergeStats
 	if len(views) == 0 {

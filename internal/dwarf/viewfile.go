@@ -18,18 +18,27 @@ type ViewFile struct {
 // checksum is verified unless the file carries a v2 offset trailer, in
 // which case only the (small) trailer is validated and the open is O(1) in
 // the file size; call VerifyEncoded explicitly to audit such a file.
-func OpenViewFile(path string) (*ViewFile, error) {
+func OpenViewFile(path string) (*ViewFile, error) { return openViewFile(path, false) }
+
+// OpenViewFileVerified is OpenViewFile with OpenView's full checksum pass
+// over the mapped bytes even when an offset trailer is present, for
+// callers that must reject a corrupt file at open rather than risk a wrong
+// answer later.
+func OpenViewFileVerified(path string) (*ViewFile, error) { return openViewFile(path, true) }
+
+func openViewFile(path string, verify bool) (*ViewFile, error) {
 	data, mapped, err := mapFile(path)
 	if err != nil {
 		return nil, err
 	}
-	// With a trailer the payload checksum pass is skipped: an O(1) open is
-	// the point of the trailer, and every query remains bounds-checked.
+	// With a trailer the payload checksum pass is skipped unless asked for:
+	// an O(1) open is the point of the trailer, and every query remains
+	// bounds-checked.
 	var v *CubeView
-	if HasOffsetTrailer(data) {
-		v, err = OpenViewTrusted(data)
-	} else {
+	if verify || !HasOffsetTrailer(data) {
 		v, err = OpenView(data)
+	} else {
+		v, err = OpenViewTrusted(data)
 	}
 	if err != nil {
 		if mapped {
@@ -43,6 +52,9 @@ func OpenViewFile(path string) (*ViewFile, error) {
 // Mapped reports whether the view is served from an mmap'd region rather
 // than a heap copy of the file.
 func (f *ViewFile) Mapped() bool { return f.mapped }
+
+// Size returns the file's length in bytes, trailers included.
+func (f *ViewFile) Size() int { return len(f.data) }
 
 // Close releases the file mapping, if any. The view must not be used after
 // Close returns.
