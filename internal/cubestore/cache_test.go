@@ -23,7 +23,6 @@ func cacheTestOptions(workers int) Options {
 	return Options{
 		Dims:               testDims,
 		SealTuples:         96,
-		ChunkTuples:        7,
 		CompactFanout:      3,
 		DisableAutoCompact: true,
 		NoSync:             true,

@@ -45,7 +45,6 @@ func TestStoreConcurrentPipeline(t *testing.T) {
 	s, err := Open(dir, Options{
 		Dims:          testDims,
 		SealTuples:    60,
-		ChunkTuples:   16,
 		CompactFanout: 3,
 		MaxFrozen:     2,
 		NoSync:        true,
@@ -192,7 +191,6 @@ func TestStoreGroupCommitAccounting(t *testing.T) {
 	s, err := Open(dir, Options{
 		Dims:               testDims,
 		SealTuples:         1 << 30,
-		ChunkTuples:        7,
 		DisableAutoCompact: true,
 	})
 	if err != nil {
@@ -251,7 +249,6 @@ func TestStoreBackpressureBoundsFrozen(t *testing.T) {
 	s, err := Open(dir, Options{
 		Dims:               testDims,
 		SealTuples:         10,
-		ChunkTuples:        7,
 		MaxFrozen:          2,
 		NoSync:             true,
 		DisableAutoCompact: true,

@@ -144,7 +144,6 @@ func TestStoreSegmentLeases(t *testing.T) {
 			opts := Options{
 				Dims:               testDims,
 				SealTuples:         40,
-				ChunkTuples:        8,
 				CompactFanout:      2,
 				DisableAutoCompact: true,
 				NoSync:             true,

@@ -30,7 +30,6 @@ func openRecoveryStore(t *testing.T, dir string, rng *rand.Rand, batches int) (*
 	s, err := Open(dir, Options{
 		Dims:               testDims,
 		SealTuples:         1 << 30, // manual seals only
-		ChunkTuples:        7,
 		CompactFanout:      2,
 		DisableAutoCompact: true,
 	})
@@ -52,7 +51,7 @@ func openRecoveryStore(t *testing.T, dir string, rng *rand.Rand, batches int) (*
 // reconstructed and the directory holds no stray files.
 func reopenAndVerify(t *testing.T, dir string, all []dwarf.Tuple, rng *rand.Rand) *Store {
 	t.Helper()
-	s, err := Open(dir, Options{DisableAutoCompact: true, ChunkTuples: 7})
+	s, err := Open(dir, Options{DisableAutoCompact: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +149,7 @@ func TestRecoveryCrashDuringSeal(t *testing.T) {
 			}
 			s.crashClose()
 
-			s2, err := Open(dir, Options{DisableAutoCompact: true, ChunkTuples: 7})
+			s2, err := Open(dir, Options{DisableAutoCompact: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -214,7 +213,7 @@ func TestRecoveryCrashDuringCompaction(t *testing.T) {
 			}
 			s.crashClose()
 
-			s2, err := Open(dir, Options{DisableAutoCompact: true, ChunkTuples: 7})
+			s2, err := Open(dir, Options{DisableAutoCompact: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -264,7 +263,6 @@ func TestRecoveryRepeatedCrashes(t *testing.T) {
 		s, err := Open(dir, Options{
 			Dims:               testDims,
 			SealTuples:         1 << 30,
-			ChunkTuples:        7,
 			CompactFanout:      2,
 			DisableAutoCompact: true,
 		})
@@ -460,7 +458,6 @@ func TestRecoveryCrashWithFrozenPending(t *testing.T) {
 	s, err := Open(dir, Options{
 		Dims:               testDims,
 		SealTuples:         1 << 30, // manual freezes only
-		ChunkTuples:        7,
 		MaxFrozen:          4,
 		DisableAutoCompact: true,
 	})

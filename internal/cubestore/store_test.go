@@ -255,7 +255,6 @@ func TestStoreDifferential(t *testing.T) {
 				storeOpts := Options{
 					Dims:               testDims,
 					SealTuples:         96,
-					ChunkTuples:        7,
 					CompactFanout:      3,
 					DisableAutoCompact: true,
 					NoSync:             true,
@@ -301,7 +300,6 @@ func TestStoreDifferential(t *testing.T) {
 				// equalities: WAL replay plus segments reconstruct the store.
 				s2, err := Open(dir, Options{
 					SealTuples:         storeOpts.SealTuples,
-					ChunkTuples:        storeOpts.ChunkTuples,
 					CompactFanout:      storeOpts.CompactFanout,
 					DisableAutoCompact: true,
 					NoSync:             true,
@@ -328,7 +326,6 @@ func TestStoreConcurrentReaders(t *testing.T) {
 	s, err := Open(t.TempDir(), Options{
 		Dims:          testDims,
 		SealTuples:    120,
-		ChunkTuples:   16,
 		CompactFanout: 3,
 		NoSync:        true,
 	})
@@ -608,7 +605,6 @@ func TestStoreCompactionPaths(t *testing.T) {
 			s, err := Open(t.TempDir(), Options{
 				Dims:               testDims,
 				SealTuples:         40,
-				ChunkTuples:        16,
 				CompactFanout:      3,
 				DisableAutoCompact: true,
 				NoSync:             true,

@@ -2,146 +2,123 @@ package dwarf
 
 import "sync"
 
-// Incremental accumulates fact tuples in bounded chunks and maintains a
-// standing cube by merging each completed chunk — the streaming
-// construction mode for feeds too large to buffer entirely, and the
-// building block of the paper's §7 maintenance loop. Construction options
-// (ablations, WithWorkers) apply to every chunk build, so a workers setting
-// shards each flush across goroutines. The zero value is not usable; call
-// NewIncremental.
+// Incremental is a tuple buffer with a cube that is built only when asked
+// for — the streaming construction mode for a live feed, and the building
+// block of the paper's §7 maintenance loop. Add and AddBatch only validate
+// and append; they never build. Cube folds every buffered tuple with one
+// sorted-scan New, and merges that into the standing cube with MergeAll
+// only when an earlier Cube call already built one. A buffer that is never
+// read before its final Cube is therefore constructed exactly once, and
+// byte-identically to New over the same tuples. Construction options
+// (ablations, WithWorkers) apply to every fold. The zero value is not
+// usable; call NewIncremental.
 //
 // An Incremental is safe for concurrent use: Add, AddBatch, Cube and
-// Buffered may be called from multiple goroutines. Ownership rule for
-// Cube(): the returned *Cube is immutable and stays valid and unchanged
-// forever — later Adds merge into NEW cubes and never touch one already
-// handed out. The flip side is that later standing cubes share sub-dwarfs
-// with earlier ones by pointer, so callers must treat a returned cube (and
-// every Node reachable through Root()) as strictly read-only; writing to its
-// nodes would corrupt the builder's standing cube out from under a
-// concurrent flush. cubestore relies on this rule to query a memtable's
-// standing cube while ingestion keeps appending.
+// Buffered may be called from multiple goroutines. Folds run outside the
+// buffer's lock, so appends never wait for a build; concurrent Cube calls
+// wait for the fold in progress and then fold only what arrived since.
+// Ownership rule for Cube(): the returned *Cube is immutable and stays
+// valid and unchanged forever — later folds merge into NEW cubes and never
+// touch one already handed out. The flip side is that later standing cubes
+// share sub-dwarfs with earlier ones by pointer, so callers must treat a
+// returned cube (and every Node reachable through Root()) as strictly
+// read-only; writing to its nodes would corrupt the builder's standing cube
+// out from under a concurrent fold. cubestore relies on this rule to query
+// a memtable's cube while ingestion keeps appending.
 type Incremental struct {
-	mu        sync.Mutex
-	dims      []string
-	opts      []Option
-	chunkSize int
-	pending   []Tuple
-	cube      *Cube
+	dims []string
+	opts []Option
+	// fold serializes Cube calls, so at most one build runs at a time.
+	fold sync.Mutex
+	// mu guards pending and cube; it is never held across a build.
+	mu      sync.Mutex
+	pending []Tuple
+	// cube is the standing cube: every tuple folded so far (an empty cube
+	// before the first fold).
+	cube *Cube
 }
 
-// NewIncremental creates a streaming builder. chunkSize bounds how many
-// buffered tuples trigger a merge; <= 0 selects 65536.
-func NewIncremental(dims []string, chunkSize int, opts ...Option) (*Incremental, error) {
-	if chunkSize <= 0 {
-		chunkSize = 65536
-	}
+// NewIncremental creates a streaming builder over dims.
+func NewIncremental(dims []string, opts ...Option) (*Incremental, error) {
 	empty, err := New(dims, nil, opts...)
 	if err != nil {
 		return nil, err
 	}
 	return &Incremental{
-		dims:      append([]string(nil), dims...),
-		opts:      opts,
-		chunkSize: chunkSize,
-		cube:      empty,
+		dims: append([]string(nil), dims...),
+		opts: opts,
+		cube: empty,
 	}, nil
 }
 
-// Add buffers one tuple, merging the chunk into the standing cube when the
-// buffer fills.
+// Add buffers one tuple.
 func (inc *Incremental) Add(t Tuple) error {
-	inc.mu.Lock()
-	defer inc.mu.Unlock()
-	return inc.add(t)
+	return inc.AddBatch([]Tuple{t})
 }
 
 // AddBatch buffers many tuples as one atomic call: a Cube() from another
 // goroutine sees either none or all of the batch. All tuples are validated
-// before any is buffered, and however many chunks the batch completes are
-// built individually but folded into the standing cube by a single k-way
-// MergeAll — one coalesce pass instead of one full merge per chunk.
+// before any is buffered — a bad tuple rejected here costs one call, while
+// one discovered at fold time would poison the whole builder — and their
+// dimension keys are copied, so callers may reuse their slices.
 func (inc *Incremental) AddBatch(tuples []Tuple) error {
-	inc.mu.Lock()
-	defer inc.mu.Unlock()
 	for _, t := range tuples {
 		if err := ValidateTuple(t, len(inc.dims)); err != nil {
 			return err
 		}
 	}
-	for _, t := range tuples {
-		inc.pending = append(inc.pending, Tuple{Dims: append([]string(nil), t.Dims...), Measure: t.Measure})
-	}
-	return inc.flush(false)
-}
-
-func (inc *Incremental) add(t Tuple) error {
-	// Full validation up front: a bad tuple rejected here costs one call; a
-	// bad tuple discovered at flush time would poison the whole builder.
-	if err := ValidateTuple(t, len(inc.dims)); err != nil {
-		return err
-	}
-	inc.pending = append(inc.pending, Tuple{Dims: append([]string(nil), t.Dims...), Measure: t.Measure})
-	if len(inc.pending) >= inc.chunkSize {
-		return inc.flush(false)
-	}
-	return nil
-}
-
-// flush builds every complete chunk (plus, when all is set, the partial
-// tail) as its own delta cube — sharded when the options carry a worker
-// count — and folds the standing cube and all deltas with one k-way
-// MergeAll. The chunk partition is identical to flushing after every
-// chunkSize-th Add, so the resulting aggregates are bit-for-bit the same;
-// only the k-1 intermediate merge passes disappear. Callers hold inc.mu.
-func (inc *Incremental) flush(all bool) error {
-	pending := inc.pending
-	var merge []*Cube
-	for len(pending) >= inc.chunkSize {
-		delta, err := New(inc.dims, pending[:inc.chunkSize], inc.opts...)
-		if err != nil {
-			return err
-		}
-		merge = append(merge, delta)
-		pending = pending[inc.chunkSize:]
-	}
-	if all && len(pending) > 0 {
-		delta, err := New(inc.dims, pending, inc.opts...)
-		if err != nil {
-			return err
-		}
-		merge = append(merge, delta)
-		pending = nil
-	}
-	if len(merge) == 0 {
-		return nil
-	}
-	merged, err := MergeAll(append([]*Cube{inc.cube}, merge...)...)
-	if err != nil {
-		return err
-	}
-	inc.cube = merged
-	// Move any unflushed tail to the front of the buffer; the deltas copied
-	// their tuples during construction, so reuse is safe.
-	n := copy(inc.pending, pending)
-	inc.pending = inc.pending[:n]
-	return nil
-}
-
-// Cube merges any pending chunk and returns the standing cube. The builder
-// remains usable; later Adds extend from this point. The returned cube is
-// immutable — no later Add or flush modifies it (see the ownership rule on
-// Incremental) — so it is safe to query, encode or retain concurrently with
-// further ingestion.
-func (inc *Incremental) Cube() (*Cube, error) {
+	// One backing array for the whole batch's keys instead of one per tuple.
+	keys := make([]string, 0, len(tuples)*len(inc.dims))
 	inc.mu.Lock()
 	defer inc.mu.Unlock()
-	if err := inc.flush(true); err != nil {
-		return nil, err
+	for _, t := range tuples {
+		start := len(keys)
+		keys = append(keys, t.Dims...)
+		inc.pending = append(inc.pending, Tuple{Dims: keys[start:len(keys):len(keys)], Measure: t.Measure})
 	}
-	return inc.cube, nil
+	return nil
 }
 
-// Buffered reports the tuples waiting for the next merge.
+// Cube folds every buffered tuple and returns the standing cube. The
+// builder remains usable; later Adds extend from this point. The returned
+// cube is immutable — no later Add or fold modifies it (see the ownership
+// rule on Incremental) — so it is safe to query, encode or retain
+// concurrently with further ingestion. The folded tuples are released.
+func (inc *Incremental) Cube() (*Cube, error) {
+	inc.fold.Lock()
+	defer inc.fold.Unlock()
+	inc.mu.Lock()
+	tail, standing := inc.pending, inc.cube
+	inc.mu.Unlock()
+	if len(tail) == 0 {
+		return standing, nil
+	}
+	// AddBatch only ever appends past len(tail), so reading tail while
+	// appends continue is safe.
+	folded, err := New(inc.dims, tail, inc.opts...)
+	if err != nil {
+		return nil, err
+	}
+	if standing.numTuples > 0 {
+		if folded, err = MergeAll(standing, folded); err != nil {
+			return nil, err
+		}
+	}
+	inc.mu.Lock()
+	defer inc.mu.Unlock()
+	inc.cube = folded
+	// Drop the folded tuples' backing array rather than re-slicing it, so
+	// they are not kept reachable; only tuples appended during the build
+	// are carried over.
+	if rest := inc.pending[len(tail):]; len(rest) > 0 {
+		inc.pending = append([]Tuple(nil), rest...)
+	} else {
+		inc.pending = nil
+	}
+	return folded, nil
+}
+
+// Buffered reports the tuples not yet folded into the standing cube.
 func (inc *Incremental) Buffered() int {
 	inc.mu.Lock()
 	defer inc.mu.Unlock()

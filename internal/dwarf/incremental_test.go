@@ -1,6 +1,7 @@
 package dwarf
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -14,7 +15,7 @@ func TestIncrementalEqualsBatchBuild(t *testing.T) {
 	dims := []string{"a", "b", "c"}
 	tuples := randomTuples(rng, 3, 500, 7)
 
-	inc, err := NewIncremental(dims, 64)
+	inc, err := NewIncremental(dims)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,8 +48,68 @@ func TestIncrementalEqualsBatchBuild(t *testing.T) {
 	}
 }
 
+// TestIncrementalBuildsOnce: appends only buffer, and the first Cube()
+// folds the whole buffer with one New — so its encoding is byte-identical
+// to a batch build over the same tuples, not a merge of chunk builds.
+func TestIncrementalBuildsOnce(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	dims := []string{"a", "b", "c"}
+	// Cardinality 24: over smaller domains a merge of partial builds can
+	// happen to encode identically, which would hide a chunked build.
+	tuples := randomTuples(rng, 3, 700, 24)
+	inc, err := NewIncremental(dims)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < len(tuples); i += 100 {
+		if err := inc.AddBatch(tuples[i : i+100]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := inc.Buffered(); got != len(tuples) {
+		t.Fatalf("Buffered after AddBatch = %d, want %d", got, len(tuples))
+	}
+	c, err := inc.Cube()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := inc.Buffered(); got != 0 {
+		t.Fatalf("Buffered after Cube = %d, want 0", got)
+	}
+	batch, err := New(dims, tuples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got, want bytes.Buffer
+	if err := c.EncodeIndexed(&got); err != nil {
+		t.Fatal(err)
+	}
+	if err := batch.EncodeIndexed(&want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("folded cube encodes to %d bytes, batch build to %d: not byte-identical", got.Len(), want.Len())
+	}
+	// A second Cube with nothing buffered hands back the same cube.
+	if again, err := inc.Cube(); err != nil || again != c {
+		t.Fatalf("Cube with an empty buffer = %p, %v; want the standing cube %p", again, err, c)
+	}
+
+	empty, err := NewIncremental(dims)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := empty.Cube()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if agg, _ := e.Point(All, All, All); agg.Count != 0 || e.NumSourceTuples() != 0 {
+		t.Fatalf("empty builder's cube = %+v over %d tuples", agg, e.NumSourceTuples())
+	}
+}
+
 func TestIncrementalContinuesAfterCube(t *testing.T) {
-	inc, err := NewIncremental([]string{"d"}, 2)
+	inc, err := NewIncremental([]string{"d"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +147,7 @@ func TestIncrementalContinuesAfterCube(t *testing.T) {
 func TestIncrementalCubeStableAcrossFlushes(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	dims := []string{"a", "b", "c"}
-	inc, err := NewIncremental(dims, 16)
+	inc, err := NewIncremental(dims)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +205,7 @@ func TestIncrementalCubeStableAcrossFlushes(t *testing.T) {
 // the pre-lock Incremental had (concurrent Cube() flushing while an Add
 // appends to pending).
 func TestIncrementalConcurrent(t *testing.T) {
-	inc, err := NewIncremental([]string{"a", "b"}, 8)
+	inc, err := NewIncremental([]string{"a", "b"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,14 +272,14 @@ func TestIncrementalConcurrent(t *testing.T) {
 }
 
 func TestIncrementalValidation(t *testing.T) {
-	inc, err := NewIncremental([]string{"a", "b"}, 10)
+	inc, err := NewIncremental([]string{"a", "b"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := inc.Add(Tuple{Dims: []string{"only-one"}, Measure: 1}); !errors.Is(err, ErrDimMismatch) {
 		t.Errorf("dim mismatch: %v", err)
 	}
-	if _, err := NewIncremental(nil, 10); !errors.Is(err, ErrNoDimensions) {
+	if _, err := NewIncremental(nil); !errors.Is(err, ErrNoDimensions) {
 		t.Errorf("no dims: %v", err)
 	}
 }

@@ -23,6 +23,14 @@ func Merge(a, b *Cube) (*Cube, error) { return MergeAll(a, b) }
 // MergeViews applies, so the two engines stay interchangeable). With a
 // single input the input cube itself is returned.
 //
+// The output's aggregates are identical to a batch build's, but its
+// encoding is not byte-identical: sub-dwarfs are not hash-consed across
+// inputs, so equal sub-dwarfs that came from different inputs are stored
+// twice. On four 4,096-tuple bike chunks the k-way merge encodes 3.9 %
+// larger than New over the same tuples, and a sequential chain of pairwise
+// merges 5.9 % larger. MergeViews output is byte-identical to the batch
+// build.
+//
 // For merging cubes that are already encoded, MergeViews does the same
 // k-way descent directly over the bytes without materializing any nodes.
 func MergeAll(cubes ...*Cube) (*Cube, error) {

@@ -365,7 +365,7 @@ func TestParallelWorkerDefaults(t *testing.T) {
 }
 
 // TestParallelAppendAndIncremental: the Workers option survives Append (the
-// delta cube builds sharded) and threads through the Incremental chunk loop.
+// delta cube builds sharded) and threads through the Incremental fold.
 func TestParallelAppendAndIncremental(t *testing.T) {
 	base := mustCube(t, paperDims, paperTuples()[:2], WithWorkers(4))
 	extra := paperTuples()[2:]
@@ -382,7 +382,7 @@ func TestParallelAppendAndIncremental(t *testing.T) {
 		}
 	}
 
-	inc, err := NewIncremental(paperDims, 2, WithWorkers(4))
+	inc, err := NewIncremental(paperDims, WithWorkers(4))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,7 +53,6 @@ func TestLiveServeEndToEnd(t *testing.T) {
 	store, ts := liveFixture(t, cubestore.Options{
 		Dims:          dims,
 		SealTuples:    60,
-		ChunkTuples:   16,
 		CompactFanout: 2,
 		NoSync:        true,
 	})

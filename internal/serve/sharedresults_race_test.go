@@ -20,12 +20,11 @@ import (
 func TestPlannedPathSharedResultsRace(t *testing.T) {
 	dims := []string{"Day", "Region", "Kind"}
 	store, ts := liveFixture(t, cubestore.Options{
-		Dims:        dims,
-		SealTuples:  50,
-		ChunkTuples: 16,
-		NoSync:      true,
-		CacheBytes:  1 << 20,
-		Rollups:     [][]string{{"Region", "Kind"}},
+		Dims:       dims,
+		SealTuples: 50,
+		NoSync:     true,
+		CacheBytes: 1 << 20,
+		Rollups:    [][]string{{"Region", "Kind"}},
 	})
 
 	var tuples []dwarf.Tuple
