@@ -11,7 +11,7 @@
 //	dwarfbench -exp ingest            # live store: WAL+memtable ingest + freshness
 //	dwarfbench -exp ingest -writers 1,4,16,64   # group-commit writer ladder
 //	dwarfbench -exp compact           # segment compaction: decode+Merge vs MergeViews
-//	dwarfbench -exp http              # live TCP load: append encoders vs reflection
+//	dwarfbench -exp http              # live TCP load through the append encoders
 //	dwarfbench -exp cache             # hot-result cache + rollups vs plain fan-out
 //	dwarfbench -exp cluster           # scatter-gather over N nodes vs one store
 //	dwarfbench -exp prune             # zone-map pruning: windowed queries vs full fan-out

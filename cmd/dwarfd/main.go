@@ -110,6 +110,7 @@ func main() {
 		Dir: *dir, CacheSize: *cache, GroupLimit: *groupLimit, ClusterNode: *clusterNode,
 		TimeDim: *timeDim, TimeLayout: *timeLayout,
 	}
+	var store *cubestore.Store
 	if *live != "" {
 		// The -dims default only applies to a store being created; an
 		// existing store's manifest is the truth unless -dims was given
@@ -122,7 +123,8 @@ func main() {
 				}
 			}
 		}
-		store, err := cubestore.Open(*live, cubestore.Options{
+		var err error
+		store, err = cubestore.Open(*live, cubestore.Options{
 			Dims:       dimList,
 			SealTuples: *sealTuples,
 			SealAge:    *sealAge,
@@ -154,8 +156,8 @@ func main() {
 		// maintenance before exiting (os.Exit would skip a defer).
 		err = serve.NewHTTPServer(*addr, srv.Handler()).ListenAndServe()
 	}
-	if opts.Store != nil {
-		opts.Store.Close()
+	if store != nil {
+		store.Close()
 	}
 	fmt.Fprintln(os.Stderr, "dwarfd:", err)
 	os.Exit(1)

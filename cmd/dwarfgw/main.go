@@ -1,10 +1,10 @@
 // Command dwarfgw is the cluster gateway: it fronts N dwarfd nodes (each
 // started with -live … -cluster-node) and answers the full dwarfd query
 // surface by scatter-gather — every query fans out to all nodes'
-// /query/partial endpoints and the partials merge exactly as one store
-// merges its own per-segment partials. Ingest is hash-partitioned: each
-// tuple's dimension keys pick its home node, so per-node cubes hold
-// disjoint cells and merge losslessly.
+// /query/partial endpoints (a fully bound point to its one owner) and the
+// partials merge exactly as one store merges its own per-segment partials.
+// Ingest is hash-partitioned: each tuple's dimension keys pick its home
+// node, so per-node cubes hold disjoint cells and merge losslessly.
 //
 //	dwarfgw -addr :8090 -nodes http://n1:8080,http://n2:8080,http://n3:8080 \
 //	        -dims Year,Month,Day,Hour,Quarter,Area,Station,Status
@@ -13,20 +13,19 @@
 // restarts, and replace a failed node in place (same position, recovered
 // store) rather than removing it.
 //
-// Endpoints (request/response shapes mirror dwarfd's, minus the cube
-// field — the gateway always queries the nodes' live cube):
+// The gateway is dwarfd's own HTTP server with the cluster coordinator as
+// its live source, so every request and response shape, paging rule and
+// error status is dwarfd's (docs/SERVING.md). The live cube is the nodes'
+// cube (-live-name) and the default when a request names none. Beyond
+// dwarfd's surface:
 //
-//	GET/POST /query/point    {"keys":[…]}
-//	POST     /query/range    {"selectors":[{"lo":…,"hi":…},…]}
-//	POST     /query/groupby  {"dim":"Area","selectors":[…],"limit":…,"offset":…}
-//	POST     /query/pivot    {"dims":["Area","Status"],"selectors":[…]}
-//	POST     /query/topk     {"dim":"Station","k":10,"by":"sum","threshold":…}
-//	POST     /query/rollup   {"keep":["Month","Area"]}
-//	POST     /ingest         {"tuples":[{"dims":[…],"measure":…},…]}
-//	GET      /cluster/stats
+//	GET /cluster/stats   per-node reachability and store generation
+//
+// The /ingest ack carries "appended" only: a cluster total would cost a
+// round trip to every node.
 //
 // A node failure fails the query with 502 and an error naming every failed
-// node — never a silently short total. Queries carrying
+// node — never a silently short total. Query bodies carrying
 // "allow_partial": true instead get the merge over the surviving nodes,
 // explicitly marked with "partial": true and the failed node list.
 package main
@@ -34,12 +33,11 @@ package main
 import (
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
 	"strings"
-	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/serve"
 	"repro/internal/smartcity"
 )
 
@@ -53,7 +51,7 @@ func main() {
 	retries := flag.Int("retries", cluster.DefaultRetries,
 		"query retries per node beyond the first attempt (-1 disables); ingest is never retried")
 	backoff := flag.Duration("backoff", cluster.DefaultBackoff, "wait before the first retry, doubling per attempt")
-	groupLimit := flag.Int("group-limit", cluster.DefaultGroupLimit,
+	groupLimit := flag.Int("group-limit", serve.DefaultGroupLimit,
 		"max groups per group-by/top-k/rollup response (clients page with limit/offset)")
 	flag.Parse()
 
@@ -89,11 +87,7 @@ func main() {
 	fmt.Fprintf(os.Stderr, "dwarfgw: %d nodes, %d reachable, dims %v, serving on %s\n",
 		coord.NumNodes(), len(gens), dimList, *addr)
 
-	srv := &http.Server{
-		Addr:              *addr,
-		Handler:           cluster.NewGateway(coord, *groupLimit).Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-	}
+	srv := serve.NewHTTPServer(*addr, cluster.NewGateway(coord, *groupLimit).Handler())
 	fmt.Fprintln(os.Stderr, "dwarfgw:", srv.ListenAndServe())
 	os.Exit(1)
 }

@@ -25,11 +25,11 @@ import (
 
 // The http experiment measures the end-to-end serving path the way a
 // dashboard fleet hits it: a real dwarfd handler behind a real TCP
-// listener, N persistent connections issuing a query-shape mix, measured
-// twice — once with the append encoders (the default) and once with
-// Options.ReflectJSON (the legacy encoding/json path) — so BENCH_http.json
-// carries a before/after trajectory for the serving tier the same way
-// BENCH_query.json does for the kernel.
+// listener, N persistent connections issuing a query-shape mix. Every row
+// is the append-encoder path ("encoder": "append"); the committed
+// BENCH_http.json also keeps the "reflect" rows measured when the
+// reflection encoder still existed, as the serving tier's recorded
+// before/after.
 //
 // The load generator is deliberately not net/http.Client: each connection
 // runs one goroutine over a raw TCP conn with preformatted request bytes
@@ -53,8 +53,8 @@ type HTTPOptions struct {
 // HTTPHandlerResult is one handler-only measurement: the request path with
 // the kernel and encoder on it but without net/http's per-connection
 // machinery (read loop, request parse, goroutine), which costs a fixed
-// ~30 allocs/request in both modes and would otherwise drown the encoder
-// delta at the wire level.
+// ~30 allocs/request and would otherwise drown the encoder's share at the
+// wire level.
 type HTTPHandlerResult struct {
 	Preset      string  `json:"preset"`
 	Encoder     string  `json:"encoder"`
@@ -67,7 +67,7 @@ type HTTPHandlerResult struct {
 // HTTPResult is one (encoder, workload, connections) load measurement.
 type HTTPResult struct {
 	Preset           string  `json:"preset"`
-	Encoder          string  `json:"encoder"`  // "append" or "reflect"
+	Encoder          string  `json:"encoder"`  // "append" ("reflect" in recorded history)
 	Workload         string  `json:"workload"` // "point" or "mixed"
 	Connections      int     `json:"connections"`
 	Requests         int     `json:"requests"`
@@ -81,8 +81,8 @@ type HTTPResult struct {
 }
 
 // RunHTTPLoad serves the preset's indexed cube from a temp directory over
-// 127.0.0.1 and sweeps encoder × workload × connections, then measures the
-// handler path alone for the headline allocs-per-request comparison.
+// 127.0.0.1 and sweeps workload × connections, after measuring the handler
+// path alone for the headline allocs-per-request figure.
 func RunHTTPLoad(opts HTTPOptions, progress func(string)) ([]HTTPResult, []HTTPHandlerResult, error) {
 	if opts.Preset == "" {
 		opts.Preset = "Day"
@@ -117,60 +117,58 @@ func RunHTTPLoad(opts HTTPOptions, progress func(string)) ([]HTTPResult, []HTTPH
 		return nil, nil, err
 	}
 
-	var out []HTTPResult
+	const encoder = "append"
+	s, err := serve.New(serve.Options{Dir: dir})
+	if err != nil {
+		return nil, nil, err
+	}
+	if progress != nil {
+		progress(fmt.Sprintf("http: %s handler-only shapes", opts.Preset))
+	}
 	var handler []HTTPHandlerResult
-	for _, encoder := range []string{"append", "reflect"} {
-		s, err := serve.New(serve.Options{Dir: dir, ReflectJSON: encoder == "reflect"})
-		if err != nil {
-			return nil, nil, err
-		}
-		if progress != nil {
-			progress(fmt.Sprintf("http: %s %s handler-only shapes", opts.Preset, encoder))
-		}
-		for _, sh := range handlerShapes(cubeName, cube) {
-			r := measureHandler(s.Handler(), sh)
-			r.Preset, r.Encoder = opts.Preset, encoder
-			handler = append(handler, r)
-		}
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, nil, err
-		}
-		srv := serve.NewHTTPServer("", s.Handler())
-		go srv.Serve(ln)
-		addr := ln.Addr().String()
+	for _, sh := range handlerShapes(cubeName, cube) {
+		r := measureHandler(s.Handler(), sh)
+		r.Preset, r.Encoder = opts.Preset, encoder
+		handler = append(handler, r)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return nil, nil, err
+	}
+	srv := serve.NewHTTPServer("", s.Handler())
+	go srv.Serve(ln)
+	defer srv.Close()
+	addr := ln.Addr().String()
 
-		workloads := []struct {
-			name string
-			reqs [][]byte
-		}{
-			{"point", pointRequests(addr, cubeName, cube, 64)},
-			{"mixed", mixedRequests(addr, cubeName, cube, 64)},
-		}
-		for _, wl := range workloads {
-			for _, conns := range opts.Conns {
-				if progress != nil {
-					progress(fmt.Sprintf("http: %s %s %s conns=%d", opts.Preset, encoder, wl.name, conns))
-				}
-				st, err := measureHTTP(addr, wl.reqs, conns, opts.Requests, opts.Warmup)
-				if err != nil {
-					srv.Close()
-					return nil, nil, fmt.Errorf("http %s/%s/%d: %w", encoder, wl.name, conns, err)
-				}
-				out = append(out, HTTPResult{
-					Preset: opts.Preset, Encoder: encoder, Workload: wl.name,
-					Connections: conns, Requests: st.requests,
-					Seconds:          st.seconds,
-					RequestsPerSec:   float64(st.requests) / st.seconds,
-					AllocsPerReq:     float64(st.allocs) / float64(st.requests),
-					AllocBytesPerReq: float64(st.bytes) / float64(st.requests),
-					P50Micros:        st.percentile(0.50),
-					P99Micros:        st.percentile(0.99),
-					P999Micros:       st.percentile(0.999),
-				})
+	workloads := []struct {
+		name string
+		reqs [][]byte
+	}{
+		{"point", pointRequests(addr, cubeName, cube, 64)},
+		{"mixed", mixedRequests(addr, cubeName, cube, 64)},
+	}
+	var out []HTTPResult
+	for _, wl := range workloads {
+		for _, conns := range opts.Conns {
+			if progress != nil {
+				progress(fmt.Sprintf("http: %s %s conns=%d", opts.Preset, wl.name, conns))
 			}
+			st, err := measureHTTP(addr, wl.reqs, conns, opts.Requests, opts.Warmup)
+			if err != nil {
+				return nil, nil, fmt.Errorf("http %s/%d: %w", wl.name, conns, err)
+			}
+			out = append(out, HTTPResult{
+				Preset: opts.Preset, Encoder: encoder, Workload: wl.name,
+				Connections: conns, Requests: st.requests,
+				Seconds:          st.seconds,
+				RequestsPerSec:   float64(st.requests) / st.seconds,
+				AllocsPerReq:     float64(st.allocs) / float64(st.requests),
+				AllocBytesPerReq: float64(st.bytes) / float64(st.requests),
+				P50Micros:        st.percentile(0.50),
+				P99Micros:        st.percentile(0.99),
+				P999Micros:       st.percentile(0.999),
+			})
 		}
-		srv.Close()
 	}
 	return out, handler, nil
 }
@@ -228,7 +226,7 @@ func (w *nullResponseWriter) WriteHeader(int) {}
 
 // measureHandler benchmarks h.ServeHTTP for one request shape. POST bodies
 // are re-armed each iteration with a reused reader-over-bytes, which costs
-// the same two allocations in both encoder modes.
+// two allocations of its own.
 func measureHandler(h http.Handler, sh handlerShape) HTTPHandlerResult {
 	w := &nullResponseWriter{h: make(http.Header, 4)}
 	req := httptest.NewRequest(sh.method, sh.path, nil)
@@ -518,7 +516,7 @@ func parseIntBytes(b []byte) int {
 
 // FormatHTTPLoad renders the load sweep.
 func FormatHTTPLoad(results []HTTPResult) *Table {
-	t := NewTable("HTTP serving path — append encoders vs reflection (encoding/json)",
+	t := NewTable("HTTP serving path — append encoders over loopback TCP",
 		"Dataset", "Encoder", "Workload", "Conns", "Requests", "req/s",
 		"p50 µs", "p99 µs", "p99.9 µs", "allocs/req", "B/req")
 	for _, r := range results {
@@ -535,8 +533,8 @@ func FormatHTTPLoad(results []HTTPResult) *Table {
 	return t
 }
 
-// FormatHTTPHandler renders the handler-only comparison, where the encoder
-// delta is visible without net/http's fixed per-connection overhead.
+// FormatHTTPHandler renders the handler-only figures, where the encoder's
+// cost is visible without net/http's fixed per-connection overhead.
 func FormatHTTPHandler(results []HTTPHandlerResult) *Table {
 	t := NewTable("HTTP handler path only (no TCP / connection machinery)",
 		"Dataset", "Encoder", "Shape", "ns/req", "allocs/req", "B/req")

@@ -23,14 +23,13 @@
 // reached within the per-node timeout and bounded retries fails the whole
 // query with an error naming the node — never a silently short merged
 // total. Callers that prefer availability opt in per request (the
-// gateway's allow_partial), and the answer is then explicitly marked with
-// the nodes it is missing.
+// gateway's allow_partial, answered through Survivors), and the answer is
+// then explicitly marked with the nodes it is missing.
 package cluster
 
 import (
 	"fmt"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -81,6 +80,9 @@ type Options struct {
 type Coordinator struct {
 	dims []string
 	live string
+	// survivors marks a view over the nodes that answered after others
+	// failed (Survivors): its node list is not the partition map.
+	survivors bool
 
 	mu    sync.RWMutex
 	nodes []*node
@@ -184,9 +186,8 @@ func (e *scatterError) Error() string {
 }
 
 // scatter runs fn against every node concurrently and returns the per-node
-// results in node order plus every failure. Callers enforce the failure
-// policy: strict methods reject any failure, the gateway's allow_partial
-// path merges the survivors and reports the failed nodes explicitly.
+// results in node order plus every failure. Callers enforce the strict
+// failure policy with strictErr.
 func scatter[T any](nodes []*node, fn func(n *node) (T, error)) ([]T, []*NodeError) {
 	parts := make([]T, len(nodes))
 	errs := make([]error, len(nodes))
@@ -246,21 +247,17 @@ func (c *Coordinator) Point(keys ...string) (dwarf.Aggregate, error) {
 	if len(keys) != len(c.dims) {
 		return dwarf.Aggregate{}, fmt.Errorf("%w: got %d keys, cube has %d dimensions", dwarf.ErrBadQuery, len(keys), len(c.dims))
 	}
-	agg, _, err := c.point(c.snapshot(), keys)
-	return agg, err
-}
-
-func (c *Coordinator) point(nodes []*node, keys []string) (dwarf.Aggregate, []*NodeError, error) {
-	if i, ok := c.pointOwner(nodes, keys); ok {
+	nodes := c.snapshot()
+	if i, ok := c.pointOwner(keys, len(nodes)); ok {
 		nodes = nodes[i : i+1]
 	}
 	parts, failed := scatter(nodes, func(n *node) (dwarf.Aggregate, error) {
 		return n.partialAgg(partialReq{Shape: "point", Cube: c.live, Keys: keys})
 	})
 	if err := strictErr(len(nodes), failed); err != nil {
-		return dwarf.Aggregate{}, failed, err
+		return dwarf.Aggregate{}, err
 	}
-	return mergeAggs(parts), failed, nil
+	return mergeAggs(parts), nil
 }
 
 // pointOwner reports the single node that can hold a fully bound point
@@ -268,12 +265,12 @@ func (c *Coordinator) point(nodes []*node, keys []string) (dwarf.Aggregate, []*N
 // a point query binding every dimension matches tuples living on exactly
 // one partition; every other node would contribute the zero aggregate, and
 // merging zeros is the identity — asking one node is bit-identical to the
-// full scatter. Routing applies only when nodes is the full partition map:
-// an ALL wildcard aggregates across partitions, and a survivor subset (the
+// full scatter. Routing applies only over the full partition map: an ALL
+// wildcard aggregates across partitions, and a survivor view (the
 // gateway's allow_partial re-run) no longer indexes like the partition map,
 // so both fall back to the scatter.
-func (c *Coordinator) pointOwner(nodes []*node, keys []string) (int, bool) {
-	if len(nodes) != c.NumNodes() || len(keys) != len(c.dims) {
+func (c *Coordinator) pointOwner(keys []string, partitions int) (int, bool) {
+	if c.survivors {
 		return 0, false
 	}
 	for _, k := range keys {
@@ -281,7 +278,7 @@ func (c *Coordinator) pointOwner(nodes []*node, keys []string) (int, bool) {
 			return 0, false
 		}
 	}
-	return NodeFor(keys, len(nodes)), true
+	return NodeFor(keys, partitions), true
 }
 
 // Range aggregates one selector per dimension across the cluster.
@@ -289,19 +286,15 @@ func (c *Coordinator) Range(sels []dwarf.Selector) (dwarf.Aggregate, error) {
 	if err := c.checkSels(sels); err != nil {
 		return dwarf.Aggregate{}, err
 	}
-	agg, _, err := c.rangeQ(c.snapshot(), sels)
-	return agg, err
-}
-
-func (c *Coordinator) rangeQ(nodes []*node, sels []dwarf.Selector) (dwarf.Aggregate, []*NodeError, error) {
+	nodes := c.snapshot()
 	req := partialReq{Shape: "range", Cube: c.live, Selectors: wireSelectors(sels)}
 	parts, failed := scatter(nodes, func(n *node) (dwarf.Aggregate, error) {
 		return n.partialAgg(req)
 	})
 	if err := strictErr(len(nodes), failed); err != nil {
-		return dwarf.Aggregate{}, failed, err
+		return dwarf.Aggregate{}, err
 	}
-	return mergeAggs(parts), failed, nil
+	return mergeAggs(parts), nil
 }
 
 // GroupBy groups the dimension at index dim across the cluster: full
@@ -313,11 +306,7 @@ func (c *Coordinator) GroupBy(dim int, sels []dwarf.Selector) (map[string]dwarf.
 	if err := c.checkSels(sels); err != nil {
 		return nil, err
 	}
-	groups, _, err := c.groupBy(c.snapshot(), dim, sels)
-	return groups, err
-}
-
-func (c *Coordinator) groupBy(nodes []*node, dim int, sels []dwarf.Selector) (map[string]dwarf.Aggregate, []*NodeError, error) {
+	nodes := c.snapshot()
 	req := partialReq{
 		Shape: "groupby", Cube: c.live,
 		Dim: strconv.Itoa(dim), Selectors: wireSelectors(sels),
@@ -326,9 +315,9 @@ func (c *Coordinator) groupBy(nodes []*node, dim int, sels []dwarf.Selector) (ma
 		return n.partialGroups(req)
 	})
 	if err := strictErr(len(nodes), failed); err != nil {
-		return nil, failed, err
+		return nil, err
 	}
-	return dwarf.MergeGroupMaps(make(map[string]dwarf.Aggregate), parts...), failed, nil
+	return dwarf.MergeGroupMaps(make(map[string]dwarf.Aggregate), parts...), nil
 }
 
 // Pivot is the multi-dimension GroupBy across the cluster, returning
@@ -350,11 +339,7 @@ func (c *Coordinator) Pivot(dims []int, sels []dwarf.Selector) ([]dwarf.PivotGro
 		}
 		grouped[d] = true
 	}
-	rows, _, err := c.pivot(c.snapshot(), dims, sels)
-	return rows, err
-}
-
-func (c *Coordinator) pivot(nodes []*node, dims []int, sels []dwarf.Selector) ([]dwarf.PivotGroup, []*NodeError, error) {
+	nodes := c.snapshot()
 	wdims := make([]string, len(dims))
 	for i, d := range dims {
 		wdims[i] = strconv.Itoa(d)
@@ -364,31 +349,20 @@ func (c *Coordinator) pivot(nodes []*node, dims []int, sels []dwarf.Selector) ([
 		return n.partialRows(req)
 	})
 	if err := strictErr(len(nodes), failed); err != nil {
-		return nil, failed, err
+		return nil, err
 	}
-	return dwarf.MergePivotGroups(parts...), failed, nil
+	return dwarf.MergePivotGroups(parts...), nil
 }
 
 // TopK ranks the groups of one dimension across the cluster. Every node
 // contributes its full group map; threshold and K cut run only after the
 // merge (the full-map-before-cut rule, now over the network).
 func (c *Coordinator) TopK(dim int, sels []dwarf.Selector, spec dwarf.TopKSpec) ([]dwarf.GroupEntry, error) {
-	if err := c.checkDim(dim); err != nil {
-		return nil, err
-	}
-	if err := c.checkSels(sels); err != nil {
-		return nil, err
-	}
-	entries, _, err := c.topK(c.snapshot(), dim, sels, spec)
-	return entries, err
-}
-
-func (c *Coordinator) topK(nodes []*node, dim int, sels []dwarf.Selector, spec dwarf.TopKSpec) ([]dwarf.GroupEntry, []*NodeError, error) {
-	groups, failed, err := c.groupBy(nodes, dim, sels)
+	groups, err := c.GroupBy(dim, sels)
 	if err != nil {
-		return nil, failed, err
+		return nil, err
 	}
-	return dwarf.TopKFromGroups(groups, spec), failed, nil
+	return dwarf.TopKFromGroups(groups, spec), nil
 }
 
 // The coordinator serves the full shared query surface.
@@ -400,10 +374,17 @@ var _ query.Querier = (*Coordinator)(nil)
 // while the other nodes keep theirs — cross-node appends are not atomic,
 // and pretending otherwise would hide which data is durable. Failed slices
 // are safe to re-send once their node is back: the error is explicit about
-// which tuples are missing.
+// which tuples are missing. Tuples are validated up front with the store's
+// own rules, so a malformed batch is rejected whole, as one store rejects
+// it, before any node sees a slice.
 func (c *Coordinator) Append(tuples []dwarf.Tuple) error {
 	if len(tuples) == 0 {
 		return fmt.Errorf("cluster: empty batch")
+	}
+	for i, t := range tuples {
+		if err := dwarf.ValidateTuple(t, len(c.dims)); err != nil {
+			return fmt.Errorf("cluster: tuple %d: %w", i, err)
+		}
 	}
 	nodes := c.snapshot()
 	buckets := make([][]dwarf.Tuple, len(nodes))
@@ -488,17 +469,5 @@ func wireSelectors(sels []dwarf.Selector) []wireSelector {
 			out[i] = wireSelector{Keys: sels[i].Keys}
 		}
 	}
-	return out
-}
-
-func failedNames(failed []*NodeError) []string {
-	if len(failed) == 0 {
-		return nil
-	}
-	out := make([]string, len(failed))
-	for i, f := range failed {
-		out[i] = f.Node
-	}
-	sort.Strings(out)
 	return out
 }

@@ -475,7 +475,11 @@ func TestAppendFailureNamesNode(t *testing.T) {
 		}
 		want = dwarf.MergeAggregates(want, agg)
 	}
-	got, _, err := tc.coord.rangeQ(surviving(tc.coord.snapshot(), []*NodeError{{Node: dead.srv.URL}}), allSels())
+	alive, failed, ok := tc.coord.Survivors(err)
+	if !ok || len(failed) != 1 || failed[0] != dead.srv.URL {
+		t.Fatalf("Survivors(%v) = %v, %v", err, failed, ok)
+	}
+	got, err := alive.Range(allSels())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,19 +1,21 @@
 package cluster
 
 import (
-	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"sort"
-	"strconv"
 
-	"repro/internal/dwarf"
+	"repro/internal/query"
+	"repro/internal/serve"
 )
 
-// Gateway is the cluster's client-facing HTTP surface (cmd/dwarfgw): the
-// same query endpoints dwarfd serves, answered by coordinator
-// scatter-gather, plus hash-routed /ingest and a /cluster/stats probe.
+// Gateway is the cluster's client-facing HTTP surface (cmd/dwarfgw): dwarfd's
+// own server (internal/serve) with the coordinator as its live source, so
+// request parsing, paging, envelopes and error statuses are dwarfd's by
+// construction. The coordinator adds the three things serve finds through
+// optional interfaces: the survivor re-run behind allow_partial
+// (Survivors), per-node health on /cluster/stats (NodeStats), and the 502
+// status of a scatter failure (scatterError matches serve.ErrUpstream).
 //
 // Failure semantics per request: by default a node failure fails the query
 // with 502 and an error naming every failed node. A request carrying
@@ -22,536 +24,66 @@ import (
 // two responses are never confusable, and a silently short total is
 // impossible by construction.
 type Gateway struct {
-	coord      *Coordinator
-	groupLimit int
+	srv *serve.Server
 }
 
-// DefaultGroupLimit caps groups per keyed gateway response, like dwarfd's.
-const DefaultGroupLimit = 1000
-
-// NewGateway wraps a coordinator. groupLimit <= 0 means DefaultGroupLimit.
+// NewGateway wraps a coordinator. groupLimit <= 0 means
+// serve.DefaultGroupLimit.
 func NewGateway(c *Coordinator, groupLimit int) *Gateway {
-	if groupLimit <= 0 {
-		groupLimit = DefaultGroupLimit
+	srv, err := serve.New(serve.Options{Store: c, LiveName: c.live, GroupLimit: groupLimit})
+	if err != nil {
+		panic(err) // unreachable: a live source and no directory always configure
 	}
-	return &Gateway{coord: c, groupLimit: groupLimit}
+	return &Gateway{srv: srv}
 }
 
 // Handler returns the gateway's route table.
-func (g *Gateway) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/query/point", g.handlePoint)
-	mux.HandleFunc("/query/range", g.handleRange)
-	mux.HandleFunc("/query/groupby", g.handleGroupBy)
-	mux.HandleFunc("/query/pivot", g.handlePivot)
-	mux.HandleFunc("/query/topk", g.handleTopK)
-	mux.HandleFunc("/query/rollup", g.handleRollUp)
-	mux.HandleFunc("/ingest", g.handleIngest)
-	mux.HandleFunc("/cluster/stats", g.handleStats)
-	return mux
-}
+func (g *Gateway) Handler() http.Handler { return g.srv.Handler() }
 
-// aggJSON mirrors dwarfd's aggregate envelope.
-type aggJSON struct {
-	Sum   float64 `json:"sum"`
-	Count int64   `json:"count"`
-	Min   float64 `json:"min"`
-	Max   float64 `json:"max"`
-	Avg   float64 `json:"avg"`
-}
+// Is makes a scatter failure serve.ErrUpstream: the nodes failed, not the
+// request, so it is answered 502.
+func (e *scatterError) Is(target error) bool { return target == serve.ErrUpstream }
 
-func toAggJSON(a dwarf.Aggregate) aggJSON {
-	return aggJSON{Sum: a.Sum, Count: a.Count, Min: a.Min, Max: a.Max, Avg: a.Avg()}
-}
-
-// partialMark carries the explicit marking of an allow_partial answer that
-// is missing nodes; embedded empty in complete answers (omitted fields).
-type partialMark struct {
-	Partial     bool     `json:"partial,omitempty"`
-	FailedNodes []string `json:"failed_nodes,omitempty"`
-}
-
-func mark(failed []*NodeError) partialMark {
-	return partialMark{Partial: len(failed) > 0, FailedNodes: failedNames(failed)}
-}
-
-func (g *Gateway) sendJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
-}
-
-func (g *Gateway) fail(w http.ResponseWriter, err error) {
-	status := http.StatusInternalServerError
+// Survivors re-targets a query whose strict run failed with err at the
+// nodes that did not fail, returning that view with the failed nodes'
+// base URLs (sorted). It reports false when err is not a scatter failure or
+// no node survived: an answer over zero nodes is not a partial answer.
+func (c *Coordinator) Survivors(err error) (query.Querier, []string, bool) {
 	var se *scatterError
-	var be *badReqError
-	switch {
-	case errors.As(err, &se):
-		status = http.StatusBadGateway
-	case errors.As(err, &be):
-		status = http.StatusBadRequest
+	if !errors.As(err, &se) {
+		return nil, nil, false
 	}
-	g.sendJSON(w, status, map[string]string{"error": err.Error()})
-}
-
-type badReqError struct{ msg string }
-
-func (e *badReqError) Error() string { return e.msg }
-
-func badReq(format string, args ...any) error {
-	return &badReqError{msg: fmt.Sprintf(format, args...)}
-}
-
-func (g *Gateway) decode(w http.ResponseWriter, r *http.Request, v any) error {
-	if r.Method != http.MethodPost {
-		return badReq("POST a JSON body to %s", r.URL.Path)
-	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 64<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return badReq("bad request body: %v", err)
-	}
-	return nil
-}
-
-// selectors converts wire selector specs, padding trailing ALL like dwarfd.
-func (g *Gateway) selectors(specs []wireSelector) ([]dwarf.Selector, error) {
-	ndims := g.coord.NumDims()
-	if len(specs) > ndims {
-		return nil, badReq("got %d selectors, cluster has %d dimensions", len(specs), ndims)
-	}
-	out := make([]dwarf.Selector, ndims)
-	for i, sp := range specs {
-		switch {
-		case sp.Lo != nil || sp.Hi != nil:
-			if sp.Lo == nil || sp.Hi == nil || len(sp.Keys) > 0 {
-				return nil, badReq("selector %d: a range needs lo and hi and no keys", i)
-			}
-			out[i] = dwarf.SelectRange(*sp.Lo, *sp.Hi)
-		case len(sp.Keys) > 0:
-			out[i] = dwarf.SelectKeys(sp.Keys...)
-		}
-	}
-	return out, nil
-}
-
-func (g *Gateway) dimIndex(field string) (int, error) {
-	if n, err := strconv.Atoi(field); err == nil {
-		if n < 0 || n >= g.coord.NumDims() {
-			return -1, badReq("dimension index %d out of range", n)
-		}
-		return n, nil
-	}
-	for i, d := range g.coord.dims {
-		if d == field {
-			return i, nil
-		}
-	}
-	return -1, badReq("unknown dimension %q (have %v)", field, g.coord.dims)
-}
-
-// clamp bounds one keyed response page.
-func (g *Gateway) clamp(limit, offset int) (int, int) {
-	if limit <= 0 || limit > g.groupLimit {
-		limit = g.groupLimit
-	}
-	if offset < 0 {
-		offset = 0
-	}
-	return limit, offset
-}
-
-func window[T any](rows []T, offset, limit int) ([]T, bool) {
-	if offset >= len(rows) {
-		return []T{}, false
-	}
-	rows = rows[offset:]
-	if len(rows) > limit {
-		return rows[:limit], true
-	}
-	return rows, false
-}
-
-// nodesFor gives every handler one consistent node snapshot per request.
-func (g *Gateway) nodesFor() []*node { return g.coord.snapshot() }
-
-// ---- query handlers ----
-
-type pointReq struct {
-	Keys         []string `json:"keys"`
-	AllowPartial bool     `json:"allow_partial,omitempty"`
-}
-
-func (g *Gateway) handlePoint(w http.ResponseWriter, r *http.Request) {
-	var req pointReq
-	if r.Method == http.MethodGet {
-		req.Keys = r.URL.Query()["key"]
-	} else if err := g.decode(w, r, &req); err != nil {
-		g.fail(w, err)
-		return
-	}
-	agg, failed, err := runPartialAware(g, req.AllowPartial,
-		func(nodes []*node) (dwarf.Aggregate, []*NodeError, error) {
-			return g.coord.point(nodes, req.Keys)
-		})
-	if err != nil {
-		g.fail(w, err)
-		return
-	}
-	g.sendJSON(w, http.StatusOK, struct {
-		Aggregate aggJSON  `json:"aggregate"`
-		Keys      []string `json:"keys"`
-		partialMark
-	}{toAggJSON(agg), req.Keys, mark(failed)})
-}
-
-type rangeReq struct {
-	Selectors    []wireSelector `json:"selectors"`
-	AllowPartial bool           `json:"allow_partial,omitempty"`
-}
-
-func (g *Gateway) handleRange(w http.ResponseWriter, r *http.Request) {
-	var req rangeReq
-	if err := g.decode(w, r, &req); err != nil {
-		g.fail(w, err)
-		return
-	}
-	sels, err := g.selectors(req.Selectors)
-	if err != nil {
-		g.fail(w, err)
-		return
-	}
-	agg, failed, err := runPartialAware(g, req.AllowPartial,
-		func(nodes []*node) (dwarf.Aggregate, []*NodeError, error) {
-			return g.coord.rangeQ(nodes, sels)
-		})
-	if err != nil {
-		g.fail(w, err)
-		return
-	}
-	g.sendJSON(w, http.StatusOK, struct {
-		Aggregate aggJSON `json:"aggregate"`
-		partialMark
-	}{toAggJSON(agg), mark(failed)})
-}
-
-type groupByReq struct {
-	Dim          string         `json:"dim"`
-	Selectors    []wireSelector `json:"selectors,omitempty"`
-	Limit        int            `json:"limit,omitempty"`
-	Offset       int            `json:"offset,omitempty"`
-	AllowPartial bool           `json:"allow_partial,omitempty"`
-}
-
-func (g *Gateway) handleGroupBy(w http.ResponseWriter, r *http.Request) {
-	var req groupByReq
-	if err := g.decode(w, r, &req); err != nil {
-		g.fail(w, err)
-		return
-	}
-	dim, err := g.dimIndex(req.Dim)
-	if err != nil {
-		g.fail(w, err)
-		return
-	}
-	sels, err := g.selectors(req.Selectors)
-	if err != nil {
-		g.fail(w, err)
-		return
-	}
-	groups, failed, err := g.grouped(req.AllowPartial, dim, sels)
-	if err != nil {
-		g.fail(w, err)
-		return
-	}
-	limit, offset := g.clamp(req.Limit, req.Offset)
-	keys := make([]string, 0, len(groups))
-	for k := range groups {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	pageKeys, truncated := window(keys, offset, limit)
-	page := make(map[string]aggJSON, len(pageKeys))
-	for _, k := range pageKeys {
-		page[k] = toAggJSON(groups[k])
-	}
-	g.sendJSON(w, http.StatusOK, struct {
-		Dim         string             `json:"dim"`
-		Groups      map[string]aggJSON `json:"groups"`
-		TotalGroups int                `json:"total_groups"`
-		Offset      int                `json:"offset"`
-		Limit       int                `json:"limit"`
-		Truncated   bool               `json:"truncated"`
-		partialMark
-	}{g.coord.dims[dim], page, len(groups), offset, limit, truncated, mark(failed)})
-}
-
-type topKReq struct {
-	Dim          string         `json:"dim"`
-	K            int            `json:"k"`
-	By           string         `json:"by,omitempty"`
-	Threshold    *float64       `json:"threshold,omitempty"`
-	Selectors    []wireSelector `json:"selectors,omitempty"`
-	Limit        int            `json:"limit,omitempty"`
-	Offset       int            `json:"offset,omitempty"`
-	AllowPartial bool           `json:"allow_partial,omitempty"`
-}
-
-type entryJSON struct {
-	Key       string  `json:"key"`
-	Metric    float64 `json:"metric"`
-	Aggregate aggJSON `json:"aggregate"`
-}
-
-func (g *Gateway) handleTopK(w http.ResponseWriter, r *http.Request) {
-	var req topKReq
-	if err := g.decode(w, r, &req); err != nil {
-		g.fail(w, err)
-		return
-	}
-	dim, err := g.dimIndex(req.Dim)
-	if err != nil {
-		g.fail(w, err)
-		return
-	}
-	sels, err := g.selectors(req.Selectors)
-	if err != nil {
-		g.fail(w, err)
-		return
-	}
-	by, err := dwarf.ParseMetric(req.By)
-	if err != nil {
-		g.fail(w, badReq("%v", err))
-		return
-	}
-	spec := dwarf.TopKSpec{K: req.K, By: by}
-	if req.Threshold != nil {
-		spec.Threshold, spec.HasThreshold = *req.Threshold, true
-	}
-	// Full-map-before-cut over the network: merge every node's complete
-	// group map, then rank and cut once.
-	groups, failed, err := g.grouped(req.AllowPartial, dim, sels)
-	if err != nil {
-		g.fail(w, err)
-		return
-	}
-	entries := dwarf.TopKFromGroups(groups, spec)
-	limit, offset := g.clamp(req.Limit, req.Offset)
-	pageEntries, truncated := window(entries, offset, limit)
-	out := make([]entryJSON, len(pageEntries))
-	for i, e := range pageEntries {
-		out[i] = entryJSON{Key: e.Key, Metric: by.Of(e.Agg), Aggregate: toAggJSON(e.Agg)}
-	}
-	g.sendJSON(w, http.StatusOK, struct {
-		Dim       string      `json:"dim"`
-		By        string      `json:"by"`
-		Entries   []entryJSON `json:"entries"`
-		Total     int         `json:"total_entries"`
-		Offset    int         `json:"offset"`
-		Limit     int         `json:"limit"`
-		Truncated bool        `json:"truncated"`
-		partialMark
-	}{g.coord.dims[dim], by.String(), out, len(entries), offset, limit, truncated, mark(failed)})
-}
-
-type pivotReq struct {
-	Dims         []string       `json:"dims,omitempty"`
-	Keep         []string       `json:"keep,omitempty"` // rollup spelling
-	Selectors    []wireSelector `json:"selectors,omitempty"`
-	Limit        int            `json:"limit,omitempty"`
-	Offset       int            `json:"offset,omitempty"`
-	AllowPartial bool           `json:"allow_partial,omitempty"`
-}
-
-type rowJSON struct {
-	Keys      []string `json:"keys"`
-	Aggregate aggJSON  `json:"aggregate"`
-}
-
-func (g *Gateway) handlePivot(w http.ResponseWriter, r *http.Request)  { g.pivotLike(w, r, false) }
-func (g *Gateway) handleRollUp(w http.ResponseWriter, r *http.Request) { g.pivotLike(w, r, true) }
-
-func (g *Gateway) pivotLike(w http.ResponseWriter, r *http.Request, rollup bool) {
-	var req pivotReq
-	if err := g.decode(w, r, &req); err != nil {
-		g.fail(w, err)
-		return
-	}
-	fields := req.Dims
-	if rollup {
-		fields = req.Keep
-	}
-	if len(fields) == 0 {
-		g.fail(w, badReq("no dimensions to group by"))
-		return
-	}
-	seen := make(map[int]bool, len(fields))
-	dims := make([]int, 0, len(fields))
-	for _, f := range fields {
-		d, err := g.dimIndex(f)
-		if err != nil {
-			g.fail(w, err)
-			return
-		}
-		if seen[d] {
-			if rollup {
-				continue // keep is a set, like query.RollUp's
-			}
-			g.fail(w, badReq("pivot dimension %q named twice", f))
-			return
-		}
-		seen[d] = true
-		dims = append(dims, d)
-	}
-	if rollup {
-		// RollUp keeps store dimension order, like query.RollUp.
-		sort.Ints(dims)
-	}
-	sels, err := g.selectors(req.Selectors)
-	if err != nil {
-		g.fail(w, err)
-		return
-	}
-	rows, failed, err := runPartialAware(g, req.AllowPartial,
-		func(nodes []*node) ([]dwarf.PivotGroup, []*NodeError, error) {
-			return g.coord.pivot(nodes, dims, sels)
-		})
-	if err != nil {
-		g.fail(w, err)
-		return
-	}
-	names := make([]string, len(dims))
-	for i, d := range dims {
-		names[i] = g.coord.dims[d]
-	}
-	limit, offset := g.clamp(req.Limit, req.Offset)
-	pageRows, truncated := window(rows, offset, limit)
-	out := make([]rowJSON, len(pageRows))
-	for i, row := range pageRows {
-		out[i] = rowJSON{Keys: row.Keys, Aggregate: toAggJSON(row.Agg)}
-	}
-	g.sendJSON(w, http.StatusOK, struct {
-		Dims      []string  `json:"dims"`
-		Groups    []rowJSON `json:"groups"`
-		Total     int       `json:"total_groups"`
-		Offset    int       `json:"offset"`
-		Limit     int       `json:"limit"`
-		Truncated bool      `json:"truncated"`
-		partialMark
-	}{names, out, len(rows), offset, limit, truncated, mark(failed)})
-}
-
-// ---- ingest + stats ----
-
-type ingestReq struct {
-	Tuples []wireTuple `json:"tuples"`
-}
-
-func (g *Gateway) handleIngest(w http.ResponseWriter, r *http.Request) {
-	var req ingestReq
-	if err := g.decode(w, r, &req); err != nil {
-		g.fail(w, err)
-		return
-	}
-	if len(req.Tuples) == 0 {
-		g.fail(w, badReq("empty batch"))
-		return
-	}
-	ndims := g.coord.NumDims()
-	tuples := make([]dwarf.Tuple, len(req.Tuples))
-	for i, tu := range req.Tuples {
-		if len(tu.Dims) != ndims {
-			g.fail(w, badReq("tuple %d has %d dims, cluster has %d", i, len(tu.Dims), ndims))
-			return
-		}
-		tuples[i] = dwarf.Tuple{Dims: tu.Dims, Measure: tu.Measure}
-	}
-	if err := g.coord.Append(tuples); err != nil {
-		g.fail(w, err)
-		return
-	}
-	g.sendJSON(w, http.StatusOK, map[string]any{"appended": len(tuples)})
-}
-
-type nodeStat struct {
-	Node       string `json:"node"`
-	OK         bool   `json:"ok"`
-	Generation uint64 `json:"generation,omitempty"`
-	Error      string `json:"error,omitempty"`
-}
-
-func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
-	nodes := g.nodesFor()
-	stats := make([]nodeStat, len(nodes))
-	type genRes struct {
-		gen uint64
-		err error
-	}
-	parts, _ := scatter(nodes, func(n *node) (genRes, error) {
-		gen, err := n.generation()
-		return genRes{gen: gen, err: err}, nil
-	})
-	for i, p := range parts {
-		stats[i] = nodeStat{Node: nodes[i].base, OK: p.err == nil, Generation: p.gen}
-		if p.err != nil {
-			stats[i].Error = p.err.Error()
-		}
-	}
-	g.sendJSON(w, http.StatusOK, map[string]any{
-		"dims":  g.coord.dims,
-		"nodes": stats,
-	})
-}
-
-// ---- partial-answer plumbing ----
-
-// runPartialAware runs one scatter-shaped query with the gateway failure
-// policy. Strict (allowPartial false): any node failure is the caller's
-// error, verbatim. allow_partial: on failure the query re-runs over the
-// surviving nodes and the ORIGINAL failed list is returned for explicit
-// marking — unless no node survived or the re-run itself failed, which is
-// an error again (an answer over zero nodes is not a partial answer).
-func runPartialAware[T any](g *Gateway, allowPartial bool,
-	run func([]*node) (T, []*NodeError, error)) (T, []*NodeError, error) {
-
-	nodes := g.nodesFor()
-	res, failed, err := run(nodes)
-	if err == nil || !allowPartial {
-		return res, failed, err
-	}
-	alive := surviving(nodes, failed)
-	if len(alive) == 0 {
-		return res, failed, err
-	}
-	res, _, err = run(alive)
-	if err != nil {
-		var zero T
-		return zero, failed, err
-	}
-	return res, failed, nil
-}
-
-// grouped is the shared GroupBy/TopK scatter under the failure policy.
-func (g *Gateway) grouped(allowPartial bool, dim int, sels []dwarf.Selector) (map[string]dwarf.Aggregate, []*NodeError, error) {
-	return runPartialAware(g, allowPartial,
-		func(nodes []*node) (map[string]dwarf.Aggregate, []*NodeError, error) {
-			return g.coord.groupBy(nodes, dim, sels)
-		})
-}
-
-// surviving filters the failed nodes out of a snapshot.
-func surviving(nodes []*node, failed []*NodeError) []*node {
-	bad := make(map[string]bool, len(failed))
-	for _, f := range failed {
+	failed := make([]string, len(se.failed))
+	bad := make(map[string]bool, len(se.failed))
+	for i, f := range se.failed {
+		failed[i] = f.Node
 		bad[f.Node] = true
 	}
-	out := make([]*node, 0, len(nodes))
-	for _, n := range nodes {
+	sort.Strings(failed)
+	alive := &Coordinator{dims: c.dims, live: c.live, survivors: true}
+	for _, n := range c.snapshot() {
 		if !bad[n.base] {
-			out = append(out, n)
+			alive.nodes = append(alive.nodes, n)
 		}
 	}
-	return out
+	if len(alive.nodes) == 0 {
+		return nil, nil, false
+	}
+	return alive, failed, true
+}
+
+// NodeStats probes every node's store generation for /cluster/stats.
+func (c *Coordinator) NodeStats() []serve.NodeStatus {
+	nodes := c.snapshot()
+	stats, _ := scatter(nodes, func(n *node) (serve.NodeStatus, error) {
+		st := serve.NodeStatus{Node: n.base}
+		gen, err := n.generation()
+		if err != nil {
+			st.Error = err.Error()
+		} else {
+			st.OK, st.Generation = true, gen
+		}
+		return st, nil
+	})
+	return stats
 }

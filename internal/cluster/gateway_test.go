@@ -5,11 +5,13 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/dwarf"
+	"repro/internal/serve"
 )
 
 // gwFixture is a 3-node cluster behind a gateway, plus the union oracle.
@@ -328,4 +330,86 @@ func TestGatewayPartialAnswers(t *testing.T) {
 	tc.nodes[2].srv.Close()
 	postJSON(t, gw.URL+"/query/groupby",
 		map[string]any{"dim": "Kind", "allow_partial": true}, http.StatusBadGateway)
+}
+
+// TestGatewayParityWithDwarfd replays one request battery against a dwarfd
+// over the union store and the gateway over 3 nodes holding the same
+// tuples: every status and every decoded body must be identical, apart
+// from the echoed cube name. The bad requests pin the wire drift the
+// gateway had while it kept its own handlers: a wrong-arity point was a
+// 502 naming every node, and a negative k, limit or offset was accepted.
+func TestGatewayParityWithDwarfd(t *testing.T) {
+	tc, gw := gwFixture(t)
+	tc.load(t, testTuples(150))
+	srv, err := serve.New(serve.Options{Store: tc.union})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dwarfd := httptest.NewServer(srv.Handler())
+	t.Cleanup(dwarfd.Close)
+
+	cases := []struct {
+		method, path, body string
+		status             int
+	}{
+		{"GET", "/query/point?key=d0&key=north&key=bike", "", http.StatusOK},
+		{"GET", "/query/point?cube=live&keys=*,east,*", "", http.StatusOK},
+		{"POST", "/query/point", `{"keys":["d1","*","air"]}`, http.StatusOK},
+		{"POST", "/query/range", `{"selectors":[{"lo":"d1","hi":"d4"},{"keys":["north","east"]}]}`, http.StatusOK},
+		{"POST", "/query/groupby", `{"cube":"live","dim":"Region"}`, http.StatusOK},
+		{"POST", "/query/groupby", `{"dim":"0","selectors":[{},{"keys":["west"]}],"limit":2,"offset":1}`, http.StatusOK},
+		{"POST", "/query/pivot", `{"dims":["Kind","Day"],"limit":5,"offset":3}`, http.StatusOK},
+		{"POST", "/query/topk", `{"dim":"Day","k":4,"by":"avg","threshold":3}`, http.StatusOK},
+		{"POST", "/query/topk", `{"dim":"Region","k":3,"by":"count","limit":2}`, http.StatusOK},
+		{"POST", "/query/rollup", `{"keep":["Kind","Region"]}`, http.StatusOK},
+		{"POST", "/query/rollup", `{"keep":["Day"],"offset":99}`, http.StatusOK},
+
+		{"POST", "/query/point", `{"keys":["a"]}`, http.StatusBadRequest},
+		{"GET", "/query/point?key=a&key=b", "", http.StatusBadRequest},
+		{"POST", "/query/topk", `{"dim":"Region","k":-1}`, http.StatusBadRequest},
+		{"POST", "/query/groupby", `{"dim":"Region","limit":-1}`, http.StatusBadRequest},
+		{"POST", "/query/pivot", `{"dims":["Region"],"offset":-2}`, http.StatusBadRequest},
+		{"POST", "/query/groupby", `{"dim":"7"}`, http.StatusBadRequest},
+		{"POST", "/query/groupby", `{"dim":"Nope"}`, http.StatusBadRequest},
+		{"POST", "/query/range", `{"selectors":[{"lo":"a"}]}`, http.StatusBadRequest},
+		{"POST", "/query/range", `{"selectors":[{},{},{},{}]}`, http.StatusBadRequest},
+		{"POST", "/query/pivot", `{"dims":["Region","Region"]}`, http.StatusBadRequest},
+		{"POST", "/query/pivot", `{"dims":[]}`, http.StatusBadRequest},
+		{"POST", "/query/rollup", `{"keep":["Nope"]}`, http.StatusBadRequest},
+		{"POST", "/query/topk", `{"dim":"Region","k":2,"by":"median"}`, http.StatusBadRequest},
+		{"POST", "/query/range", `{"selectors":[],"window":"24h"}`, http.StatusBadRequest},
+		{"POST", "/query/range", `{"selectors":[],"bogus":1}`, http.StatusBadRequest},
+		{"POST", "/query/groupby", `{bad json`, http.StatusBadRequest},
+		{"GET", "/query/range", "", http.StatusBadRequest},
+	}
+	call := func(base, method, path, body string) (int, map[string]any) {
+		t.Helper()
+		req, err := http.NewRequest(method, base+path, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var out map[string]any
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+			t.Fatalf("%s %s: decoding: %v", method, path, err)
+		}
+		delete(out, "cube")
+		return resp.StatusCode, out
+	}
+	for _, c := range cases {
+		dStatus, dBody := call(dwarfd.URL, c.method, c.path, c.body)
+		gStatus, gBody := call(gw.URL, c.method, c.path, c.body)
+		if dStatus != c.status || gStatus != c.status {
+			t.Errorf("%s %s %s: dwarfd %d, gateway %d, want %d\ndwarfd:  %v\ngateway: %v",
+				c.method, c.path, c.body, dStatus, gStatus, c.status, dBody, gBody)
+			continue
+		}
+		if !reflect.DeepEqual(dBody, gBody) {
+			t.Errorf("%s %s %s: bodies differ\ndwarfd:  %v\ngateway: %v", c.method, c.path, c.body, dBody, gBody)
+		}
+	}
 }

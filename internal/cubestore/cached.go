@@ -1,9 +1,6 @@
 package cubestore
 
 import (
-	"runtime"
-	"sync"
-
 	"repro/internal/dwarf"
 	"repro/internal/qcache"
 )
@@ -126,35 +123,6 @@ func (s *Store) planTargets(st *storeState, grouped []int, sels []dwarf.Selector
 	}
 	s.segsScanned.Add(int64(len(out)))
 	return out, viaRollup
-}
-
-// runIndexed runs fn for every index in [0,n), concurrently under the same
-// heuristic as fanOut.
-func runIndexed(n int, fn func(int) error) error {
-	if n <= 2 || runtime.GOMAXPROCS(0) == 1 {
-		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = fn(i)
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // groupsAt returns the merged GroupBy map over the leased state st, stamped

@@ -1486,36 +1486,48 @@ func admitRange(sels []dwarf.Selector) func([]dwarf.ZoneMap) bool {
 	return func(zones []dwarf.ZoneMap) bool { return dwarf.ZonesAdmit(zones, sels) }
 }
 
-// fanOut runs fn against every target, concurrently when there are several,
-// and hands the partial results to merge in deterministic target order.
+// fanOut runs fn against every target through runIndexed and hands the
+// partial results to merge in deterministic target order.
 func fanOut[T any](targets []query.Querier, fn func(query.Querier) (T, error)) ([]T, error) {
 	results := make([]T, len(targets))
-	if len(targets) <= 2 || runtime.GOMAXPROCS(0) == 1 {
-		for i, q := range targets {
-			r, err := fn(q)
-			if err != nil {
-				return nil, err
-			}
-			results[i] = r
-		}
-		return results, nil
+	err := runIndexed(len(targets), func(i int) (err error) {
+		results[i], err = fn(targets[i])
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
-	errs := make([]error, len(targets))
+	return results, nil
+}
+
+// runIndexed runs fn for every index in [0,n): serially for two or fewer
+// or on one P, concurrently otherwise. Either way the error returned is
+// the lowest-index one, so a failure reads the same at any parallelism.
+func runIndexed(n int, fn func(int) error) error {
+	if n <= 2 || runtime.GOMAXPROCS(0) == 1 {
+		for i := 0; i < n; i++ {
+			if err := fn(i); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	errs := make([]error, n)
 	var wg sync.WaitGroup
-	for i, q := range targets {
+	for i := 0; i < n; i++ {
 		wg.Add(1)
-		go func(i int, q query.Querier) {
+		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = fn(q)
-		}(i, q)
+			errs[i] = fn(i)
+		}(i)
 	}
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return results, nil
+	return nil
 }
 
 func (s *Store) aggQuery(admit func([]dwarf.ZoneMap) bool, fn func(query.Querier) (dwarf.Aggregate, error)) (dwarf.Aggregate, error) {

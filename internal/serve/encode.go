@@ -1,9 +1,9 @@
 // Hand-rolled JSON response encoders: one append-to-buffer emitter per
-// response envelope, producing output byte-identical to what the legacy
-// reflection path (encoding/json with two-space indent and HTML escaping)
-// produces for the equivalent typed value. The differential suite in
-// encode_test.go pins that equivalence per envelope, including fuzzed keys
-// and float values.
+// response envelope, producing output byte-identical to what encoding/json
+// (two-space indent, HTML escaping) produces for the equivalent typed
+// envelope. The typed envelopes live in the test suite as the oracle
+// (oracle_test.go); the differential suite in encode_test.go pins the
+// equivalence per envelope, including fuzzed keys and float values.
 //
 // Discipline: emitters only ever append to the caller's buffer — no
 // intermediate containers, no reflection, no per-row allocation — so a
@@ -127,7 +127,7 @@ func (w *jw) strs(ss []string) {
 	w.close(']')
 }
 
-// agg emits the wire form of an aggregate, matching aggJSON's field order.
+// agg emits the wire form of an aggregate: sum, count, min, max, avg.
 func (w *jw) agg(a dwarf.Aggregate) {
 	w.open('{')
 	w.key("sum")
@@ -237,9 +237,9 @@ func appendJSONTime(b []byte, t time.Time) []byte {
 
 // ---- response envelopes ----
 //
-// Field order in each emitter matches what the reflection encoder produces
-// for the corresponding typed response struct (server.go), which in turn
-// preserves the sorted-key order of the historical map[string]any envelopes.
+// Field order in each emitter matches what encoding/json produces for the
+// corresponding typed envelope in oracle_test.go, which in turn preserves
+// the sorted-key order of the historical map[string]any envelopes.
 
 // appendErrorResponse emits {"error": msg}.
 func appendErrorResponse(buf []byte, msg string) []byte {
@@ -468,14 +468,63 @@ func appendCubesResponse(buf []byte, dir string, cubes []cubeInfo,
 	return w.done()
 }
 
-// appendIngestResponse emits the /ingest acknowledgement envelope.
+// appendIngestResponse emits the /ingest acknowledgement envelope; a
+// negative total (unknown to the source) is omitted.
 func appendIngestResponse(buf []byte, appended, total int) []byte {
 	w := jw{buf: buf}
 	w.open('{')
 	w.key("appended")
 	w.int(int64(appended))
-	w.key("total_tuples")
-	w.int(int64(total))
+	if total >= 0 {
+		w.key("total_tuples")
+		w.int(int64(total))
+	}
+	w.close('}')
+	return w.done()
+}
+
+// appendPartialMark adds "partial": true and the failed backends to a
+// finished top-level envelope (which always ends "\n}\n"), as trailing
+// members; with no failed backends the envelope is left as it is.
+func appendPartialMark(doc []byte, failed []string) []byte {
+	if len(failed) == 0 {
+		return doc
+	}
+	w := jw{buf: doc[:len(doc)-3], depth: 1} // reopen the outer object
+	w.key("partial")
+	w.boolean(true)
+	w.key("failed_nodes")
+	w.strs(failed)
+	w.close('}')
+	return w.done()
+}
+
+// appendClusterStatsResponse emits the /cluster/stats envelope.
+func appendClusterStatsResponse(buf []byte, dims []string, nodes []NodeStatus) []byte {
+	w := jw{buf: buf}
+	w.open('{')
+	w.key("dims")
+	w.strs(dims)
+	w.key("nodes")
+	w.open('[')
+	for i := range nodes {
+		w.member()
+		w.open('{')
+		w.key("node")
+		w.str(nodes[i].Node)
+		w.key("ok")
+		w.boolean(nodes[i].OK)
+		if nodes[i].Generation != 0 {
+			w.key("generation")
+			w.uint(nodes[i].Generation)
+		}
+		if nodes[i].Error != "" {
+			w.key("error")
+			w.str(nodes[i].Error)
+		}
+		w.close('}')
+	}
+	w.close(']')
 	w.close('}')
 	return w.done()
 }

@@ -8,6 +8,8 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -16,8 +18,8 @@ import (
 	"repro/internal/dwarf"
 )
 
-// encodeReflect is the reference encoder: exactly what writeJSON puts on
-// the wire for v.
+// encodeReflect is the reference encoder: encoding/json with the wire's
+// two-space indent and trailing newline.
 func encodeReflect(t *testing.T, v any) []byte {
 	t.Helper()
 	var sb bytes.Buffer
@@ -257,86 +259,188 @@ func TestEnvelopeEncodersDifferential(t *testing.T) {
 		storeStatsResponse{Cube: "live", Stats: sstats})
 }
 
-// TestModesByteIdentical replays one request battery against two servers
-// over the same cube directory — append encoders vs Options.ReflectJSON —
-// and requires byte-identical status and body for every exchange.
-func TestModesByteIdentical(t *testing.T) {
-	dir, _, _ := serveFixture(t, 4)
-	fast, err := New(Options{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	slow, err := New(Options{Dir: dir, ReflectJSON: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tsFast := httptest.NewServer(fast.Handler())
-	defer tsFast.Close()
-	tsSlow := httptest.NewServer(slow.Handler())
-	defer tsSlow.Close()
-
-	do := func(method, path, body string) (int, string) {
+// TestPartialEnvelopesDifferential pins the envelope variants only a
+// cluster source produces: the allow_partial marking appended to every
+// query envelope, the total-less ingest ack and /cluster/stats.
+func TestPartialEnvelopesDifferential(t *testing.T) {
+	agg := dwarf.Aggregate{Sum: 17.25, Count: 3, Min: -2.5, Max: 11}
+	failed := []string{"http://n1:8080", "http://<n2>:8080"}
+	mark := partialMark{Partial: true, FailedNodes: failed}
+	check := func(name string, got []byte, ref any) {
 		t.Helper()
-		var status int
-		var bodies [2]string
-		for i, ts := range []*httptest.Server{tsFast, tsSlow} {
-			var resp *http.Response
-			var err error
-			if method == http.MethodGet {
-				resp, err = http.Get(ts.URL + path)
-			} else {
-				resp, err = http.Post(ts.URL+path, "application/json", strings.NewReader(body))
-			}
-			if err != nil {
-				t.Fatalf("%s %s: %v", method, path, err)
-			}
-			b, err := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			if err != nil {
-				t.Fatalf("%s %s: read: %v", method, path, err)
-			}
-			if i == 0 {
-				status = resp.StatusCode
-			} else if resp.StatusCode != status {
-				t.Fatalf("%s %s: status fast=%d reflect=%d", method, path, status, resp.StatusCode)
-			}
-			bodies[i] = string(b)
+		if want := encodeReflect(t, ref); !bytes.Equal(got, want) {
+			t.Errorf("%s:\n got: %s\nwant: %s", name, got, want)
 		}
-		if bodies[0] != bodies[1] {
-			t.Fatalf("%s %s: body mismatch\nfast:    %q\nreflect: %q", method, path, bodies[0], bodies[1])
-		}
-		return status, bodies[0]
 	}
 
-	// /cubes first, while both caches are empty (loaded_at timestamps would
-	// otherwise differ between the two servers).
-	do(http.MethodGet, "/cubes", "")
+	check("point partial", appendPartialMark(appendPointResponse(nil, "", []string{"a"}, agg), failed),
+		pointResponse{Aggregate: toAggJSON(agg), Cube: "", Keys: []string{"a"}, partialMark: mark})
+	check("range partial", appendPartialMark(appendRangeResponse(nil, "live", agg), failed),
+		rangeResponse{Aggregate: toAggJSON(agg), Cube: "live", partialMark: mark})
+	check("groupby empty partial", appendPartialMark(appendGroupByResponse(nil, "", "Kind", nil, nil, 0, 0, 5, false), failed),
+		groupByResponse{Dim: "Kind", Groups: map[string]aggJSON{}, Limit: 5, partialMark: mark})
+	check("topk partial", appendPartialMark(appendTopKResponse(nil, "", "Kind", dwarf.BySum,
+		[]dwarf.GroupEntry{{Key: "bike", Agg: agg}}, 4, 0, 1, true), failed),
+		topKResponse{By: "sum", Dim: "Kind", Entries: []entryJSON{{Key: "bike", Metric: agg.Sum, Aggregate: toAggJSON(agg)}},
+			Limit: 1, TotalEntries: 4, Truncated: true, partialMark: mark})
+	check("rows partial", appendPartialMark(appendRowsResponse(nil, "", []string{"Kind"},
+		[]dwarf.PivotGroup{{Keys: []string{"bike"}, Agg: agg}}, 1, 0, 10, false), failed),
+		rowsResponse{Dims: []string{"Kind"}, Groups: []rowJSON{{Keys: []string{"bike"}, Aggregate: toAggJSON(agg)}},
+			Limit: 10, TotalGroups: 1, partialMark: mark})
+	check("complete answers are unmarked", appendPartialMark(appendRangeResponse(nil, "live", agg), nil),
+		rangeResponse{Aggregate: toAggJSON(agg), Cube: "live"})
 
-	do(http.MethodGet, "/query/point?cube=indexed&key=d1&key=north&key=bike", "")
-	do(http.MethodGet, "/query/point?cube=indexed&keys=d2,*,*", "")
-	do(http.MethodGet, "/query/point?cube=plain&key=%2A&key=north&key=%2A", "")
-	do(http.MethodGet, "/query/point?cube=indexed", "") // arity error, keys null
-	do(http.MethodGet, "/query/point?cube=missing&key=a&key=b&key=c", "")
-	do(http.MethodGet, "/query/point?cube=junk&key=a&key=b&key=c", "")
-	do(http.MethodPost, "/query/point", `{"cube":"indexed","keys":["*","*","bike"]}`)
-	do(http.MethodPost, "/query/point", `{bad json`)
+	check("ingest without total", appendIngestResponse(nil, 120, -1), sourceIngestResponse{Appended: 120})
 
-	do(http.MethodPost, "/query/range", `{"cube":"indexed","selectors":[{"lo":"d1","hi":"d2"}]}`)
-	do(http.MethodPost, "/query/groupby", `{"cube":"indexed","dim":"Region"}`)
-	do(http.MethodPost, "/query/groupby", `{"cube":"indexed","dim":"Region","limit":1,"offset":1}`)
-	do(http.MethodPost, "/query/groupby", `{"cube":"indexed","dim":"Nope"}`)
-	do(http.MethodPost, "/query/topk", `{"cube":"indexed","dim":"Kind","k":2,"by":"count"}`)
-	do(http.MethodPost, "/query/rollup", `{"cube":"indexed","keep":["Region"]}`)
-	do(http.MethodPost, "/query/pivot", `{"cube":"indexed","dims":["Region","Kind"]}`)
-	do(http.MethodPost, "/query/pivot", `{"cube":"indexed","dims":[]}`)
-	do(http.MethodGet, "/stats?cube=indexed", "")
+	nodes := []NodeStatus{
+		{Node: "http://n1:8080", OK: true, Generation: 42},
+		{Node: "http://n2:8080", OK: true},
+		{Node: "http://n3:8080", Error: `dial tcp: "refused" <&>`},
+	}
+	check("cluster stats", appendClusterStatsResponse(nil, []string{"Day", "Kind"}, nodes),
+		clusterStatsResponse{Dims: []string{"Day", "Kind"}, Nodes: nodes})
+	check("cluster stats empty", appendClusterStatsResponse(nil, []string{}, nil),
+		clusterStatsResponse{Dims: []string{}, Nodes: []NodeStatus{}})
+}
 
-	// Oversized body: clean 413 from both paths.
+// TestModesByteIdentical replays one request battery against a server and
+// requires every body to be byte-identical to encoding/json over the typed
+// envelope (oracle_test.go) of the answer computed straight from the
+// cube, with the expected status. Error bodies must be the encoded error
+// envelope of their own message.
+func TestModesByteIdentical(t *testing.T) {
+	dir, cube, ts := serveFixture(t, 4)
+	all := []dwarf.Selector{dwarf.SelectAll(), dwarf.SelectAll(), dwarf.SelectAll()}
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	do := func(method, path, body string, wantStatus int, want any) {
+		t.Helper()
+		var resp *http.Response
+		var err error
+		if method == http.MethodGet {
+			resp, err = http.Get(ts.URL + path)
+		} else {
+			resp, err = http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		}
+		if err != nil {
+			t.Fatalf("%s %s: %v", method, path, err)
+		}
+		got, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("%s %s: read: %v", method, path, err)
+		}
+		if resp.StatusCode != wantStatus {
+			t.Fatalf("%s %s: status %d, want %d: %s", method, path, resp.StatusCode, wantStatus, got)
+		}
+		if want == nil {
+			var e errorResponse
+			if err := json.Unmarshal(got, &e); err != nil || e.Error == "" {
+				t.Fatalf("%s %s: not an error envelope: %q", method, path, got)
+			}
+			want = e
+		}
+		if ref := encodeReflect(t, want); !bytes.Equal(got, ref) {
+			t.Fatalf("%s %s: body mismatch\nserved: %q\noracle: %q", method, path, got, ref)
+		}
+	}
+	point := func(cubeName string, keys ...string) pointResponse {
+		agg, err := cube.Point(keys...)
+		must(err)
+		return pointResponse{Aggregate: toAggJSON(agg), Cube: cubeName, Keys: keys}
+	}
+	rows := func(dims []string, idx ...int) rowsResponse {
+		pg, err := cube.Pivot(idx, all)
+		must(err)
+		out := rowsResponse{Cube: "indexed", Dims: dims, Groups: []rowJSON{},
+			Limit: DefaultGroupLimit, TotalGroups: len(pg)}
+		for _, r := range pg {
+			out.Groups = append(out.Groups, rowJSON{Keys: r.Keys, Aggregate: toAggJSON(r.Agg)})
+		}
+		return out
+	}
+
+	// /cubes first, while the cache is empty.
+	var cubes []cubeInfo
+	for _, f := range []struct {
+		name    string
+		indexed bool
+	}{{"indexed.dwarf", true}, {"junk.dwarf", false}, {"plain.dwarf", false}} {
+		fi, err := os.Stat(filepath.Join(dir, f.name))
+		must(err)
+		cubes = append(cubes, cubeInfo{Name: f.name, SizeBytes: fi.Size(), Indexed: f.indexed})
+	}
+	do(http.MethodGet, "/cubes", "", http.StatusOK,
+		cubesResponse{Cache: []CacheInfo{}, Cubes: cubes, Dir: dir})
+
+	do(http.MethodGet, "/query/point?cube=indexed&key=d1&key=north&key=bike", "", http.StatusOK,
+		point("indexed", "d1", "north", "bike"))
+	do(http.MethodGet, "/query/point?cube=indexed&keys=d2,*,*", "", http.StatusOK,
+		point("indexed", "d2", "*", "*"))
+	do(http.MethodGet, "/query/point?cube=plain&key=%2A&key=north&key=%2A", "", http.StatusOK,
+		point("plain", "*", "north", "*"))
+	do(http.MethodGet, "/query/point?cube=indexed", "", http.StatusBadRequest, nil) // arity error
+	do(http.MethodGet, "/query/point?cube=missing&key=a&key=b&key=c", "", http.StatusNotFound, nil)
+	do(http.MethodGet, "/query/point?cube=junk&key=a&key=b&key=c", "", http.StatusBadGateway, nil)
+	do(http.MethodPost, "/query/point", `{"cube":"indexed","keys":["*","*","bike"]}`, http.StatusOK,
+		point("indexed", "*", "*", "bike"))
+	do(http.MethodPost, "/query/point", `{bad json`, http.StatusBadRequest, nil)
+
+	ragg, err := cube.Range([]dwarf.Selector{dwarf.SelectRange("d1", "d2"), dwarf.SelectAll(), dwarf.SelectAll()})
+	must(err)
+	do(http.MethodPost, "/query/range", `{"cube":"indexed","selectors":[{"lo":"d1","hi":"d2"}]}`, http.StatusOK,
+		rangeResponse{Aggregate: toAggJSON(ragg), Cube: "indexed"})
+
+	groups, err := cube.GroupBy(1, all)
+	must(err)
+	full := groupByResponse{Cube: "indexed", Dim: "Region", Groups: map[string]aggJSON{},
+		Limit: DefaultGroupLimit, TotalGroups: len(groups)}
+	for k, a := range groups {
+		full.Groups[k] = toAggJSON(a)
+	}
+	do(http.MethodPost, "/query/groupby", `{"cube":"indexed","dim":"Region"}`, http.StatusOK, full)
+	// Regions sort north, south, west: the second one-row page is south.
+	do(http.MethodPost, "/query/groupby", `{"cube":"indexed","dim":"Region","limit":1,"offset":1}`, http.StatusOK,
+		groupByResponse{Cube: "indexed", Dim: "Region", Groups: map[string]aggJSON{"south": toAggJSON(groups["south"])},
+			Limit: 1, Offset: 1, TotalGroups: len(groups), Truncated: true})
+	do(http.MethodPost, "/query/groupby", `{"cube":"indexed","dim":"Nope"}`, http.StatusBadRequest, nil)
+
+	top, err := cube.TopK(2, all, dwarf.TopKSpec{K: 2, By: dwarf.ByCount})
+	must(err)
+	topWant := topKResponse{By: "count", Cube: "indexed", Dim: "Kind", Entries: []entryJSON{},
+		Limit: DefaultGroupLimit, TotalEntries: len(top)}
+	for _, e := range top {
+		topWant.Entries = append(topWant.Entries,
+			entryJSON{Key: e.Key, Metric: float64(e.Agg.Count), Aggregate: toAggJSON(e.Agg)})
+	}
+	do(http.MethodPost, "/query/topk", `{"cube":"indexed","dim":"Kind","k":2,"by":"count"}`, http.StatusOK, topWant)
+
+	do(http.MethodPost, "/query/rollup", `{"cube":"indexed","keep":["Region"]}`, http.StatusOK,
+		rows([]string{"Region"}, 1))
+	do(http.MethodPost, "/query/pivot", `{"cube":"indexed","dims":["Region","Kind"]}`, http.StatusOK,
+		rows([]string{"Region", "Kind"}, 1, 2))
+	do(http.MethodPost, "/query/pivot", `{"cube":"indexed","dims":[]}`, http.StatusBadRequest, nil)
+
+	data, err := os.ReadFile(filepath.Join(dir, "indexed.dwarf"))
+	must(err)
+	view, err := dwarf.OpenView(data)
+	must(err)
+	vst, err := view.Stats()
+	must(err)
+	do(http.MethodGet, "/stats?cube=indexed", "", http.StatusOK, statsResponse{
+		AllCells: vst.AllCells, Cells: vst.Cells, Cube: "indexed", Dims: cube.Dims(),
+		EncodedBytes: view.EncodedBytes(), Indexed: true, Nodes: vst.Nodes,
+		SourceTuples: view.NumSourceTuples(), TotalCells: vst.TotalCells()})
+
+	// Oversized body: a clean 413 error envelope.
 	big := `{"cube":"indexed","keys":["` + strings.Repeat("x", maxQueryBodyBytes+16) + `"]}`
-	status, _ := do(http.MethodPost, "/query/point", big)
-	if status != http.StatusRequestEntityTooLarge {
-		t.Fatalf("oversized body: status %d, want 413", status)
-	}
+	do(http.MethodPost, "/query/point", big, http.StatusRequestEntityTooLarge,
+		errorResponse{Error: fmt.Sprintf("request body exceeds %d bytes", maxQueryBodyBytes)})
 }
 
 // TestPivotEndpoint sanity-checks the new /query/pivot shape: sorted rows,
@@ -403,8 +507,9 @@ func TestEncoderAllocs(t *testing.T) {
 
 // TestHandlerAllocsPoint bounds the full handler path for a GET point query
 // (mux dispatch, query-string parse, cache hit, stat revalidation, encode,
-// pooled buffer). The legacy reflection path costs ~10x the canonical
-// bound; creep back toward it fails here before it shows up in a benchmark.
+// pooled buffer). The reflection encoder this path replaced cost ~10x the
+// canonical bound; creep back toward it fails here before it shows up in a
+// benchmark.
 func TestHandlerAllocsPoint(t *testing.T) {
 	dir, _, _ := serveFixture(t, 4)
 	s, err := New(Options{Dir: dir})

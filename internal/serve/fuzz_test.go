@@ -7,9 +7,10 @@ import (
 	"testing"
 )
 
-// refPointQuery restates the legacy GET /query/point parameter parse —
-// url.ParseQuery with its partial-result-on-error behavior (exactly what
-// r.URL.Query() hands legacyPointQuery), cube = first value, key = every
+// refPointQuery restates the url.Values-based GET /query/point parameter
+// parse the server used before the pooled parser — url.ParseQuery with its
+// partial-result-on-error behavior (exactly what r.URL.Query() returns),
+// cube = first value, key = every
 // value in order, keys = CSV fallback when no key params and non-empty.
 // It is the oracle the zero-allocation parsePointQuery must match.
 func refPointQuery(rawQuery string) (cube string, keys []string) {

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"net/http/httptest"
 	"testing"
+	"time"
 
 	"repro/internal/cubestore"
 	"repro/internal/dwarf"
@@ -157,7 +158,14 @@ func TestLiveServeEndToEnd(t *testing.T) {
 	}
 
 	// Seals and compactions really happened underneath the HTTP traffic.
+	// Both run in the background after the ack, so wait (bounded) for the
+	// ones the ingest triggered before asserting.
+	deadline := time.Now().Add(10 * time.Second)
 	st := store.Stats()
+	for (st.Seals == 0 || st.Compactions == 0) && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+		st = store.Stats()
+	}
 	if st.Seals == 0 || st.Compactions == 0 {
 		t.Fatalf("expected live seals and compactions during ingest, got %+v", st)
 	}

@@ -51,8 +51,8 @@ func (s *Server) handlePartial(w http.ResponseWriter, r *http.Request) {
 	// data, never newer, so a coordinator comparing stamps across retries
 	// can only under-claim freshness.
 	var gen uint64
-	if s.store != nil && req.Cube == s.liveName {
-		gen = s.store.Generation()
+	if s.local != nil && s.isLive(req.Cube) {
+		gen = s.local.Generation()
 	}
 	buf := getBuf()
 	switch req.Shape {

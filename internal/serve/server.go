@@ -22,11 +22,17 @@
 //
 // With Options.Store set the server also runs in live mode: the reserved
 // cube name "live" (Options.LiveName) routes every /query/* shape to the
-// cubestore — fanning out over sealed segments plus the memtable, so
-// answers reflect every acknowledged tuple — and two more endpoints appear:
+// live source — a cubestore fanning out over sealed segments plus the
+// memtable on dwarfd, a cluster.Coordinator scatter-gathering over dwarfd
+// nodes behind dwarfgw — so answers reflect every acknowledged tuple, and
+// more endpoints appear:
 //
 //	POST /ingest                    {"tuples":[{"dims":[…],"measure":…},…]}
-//	GET  /store/stats               segment inventory, WAL position, counters
+//	GET  /store/stats               segment inventory, WAL position, counters (local store only)
+//	GET  /cluster/stats             per-node health (sources that front nodes only)
+//
+// A live-only server (no Dir) also answers requests that omit "cube" from
+// the live source.
 //
 // A selector is {"keys":[…]} for an explicit set, {"lo":…,"hi":…} for an
 // inclusive range, or {} (or omitted trailing entries) for ALL.
@@ -39,14 +45,17 @@
 // until it is false — and the total count always rides along, so a
 // high-cardinality dimension can never produce an unbounded response body.
 //
+// A query body may set "allow_partial": true. Against a source merged from
+// independently failing backends (the cluster coordinator), a query that
+// fails because backends failed is then re-run over the survivors and the
+// answer is marked "partial": true with the "failed_nodes" list; without
+// the flag such a failure is a 502 naming every failed backend.
+//
 // Responses are produced by the hand-rolled appenders in encode.go —
 // pooled buffers, no reflection, paged rows streamed straight out of the
-// kernel's results. Options.ReflectJSON instead routes every response
-// through the original serving path preserved verbatim in legacy.go
-// (map[string]any envelopes + indented encoding/json); output is
-// byte-identical either way, pinned by the differential suite in
-// encode_test.go. The toggle exists for before/after benchmarking and as
-// an escape hatch. See docs/SERVING.md for the encoding contract.
+// kernel's results — byte-identical to encoding/json over the typed
+// envelopes the test suite keeps as its oracle. See docs/SERVING.md for
+// the encoding contract.
 package serve
 
 import (
@@ -96,20 +105,15 @@ type Options struct {
 	// CacheSize caps the hot-view LRU (DefaultCacheSize when zero).
 	CacheSize int
 	// Store, when set, enables live mode: /ingest appends to it and the
-	// LiveName cube answers queries over it.
-	Store *cubestore.Store
+	// LiveName cube answers queries over it. A *cubestore.Store also gets
+	// /store/stats and store generations on /query/partial.
+	Store Source
 	// LiveName is the reserved cube name for the live store
 	// (DefaultLiveName when empty).
 	LiveName string
 	// GroupLimit caps the groups per keyed-query response
 	// (DefaultGroupLimit when zero).
 	GroupLimit int
-	// ReflectJSON routes responses through the original reflection-based
-	// serving path (legacy.go: map envelopes + encoding/json) instead of
-	// the append encoders in encode.go. Output is byte-identical either
-	// way; the toggle exists so the benchmark harness can measure the old
-	// path and as an operational escape hatch.
-	ReflectJSON bool
 	// ClusterNode additionally mounts POST /query/partial — the compact,
 	// unpaged per-node wire format a cluster coordinator scatter-gathers
 	// over (internal/cluster, docs/CLUSTER.md). Off by default: partial
@@ -130,15 +134,50 @@ type Options struct {
 	Now func() time.Time
 }
 
+// Source is a live dataset the server queries and appends to: a
+// *cubestore.Store on dwarfd, a cluster coordinator behind dwarfgw.
+type Source interface {
+	query.Querier
+	Append([]dwarf.Tuple) error
+}
+
+// survivable is implemented by sources merged from independently failing
+// backends. Survivors is asked only after a strict run failed with err on a
+// request that set allow_partial: it returns a source over the backends
+// that did not fail plus the failed backends' names, or ok false when err
+// is not a backend failure or no backend survived.
+type survivable interface {
+	Survivors(err error) (alive query.Querier, failed []string, ok bool)
+}
+
+// NodeStatus is one backend's health on /cluster/stats.
+type NodeStatus struct {
+	Node       string `json:"node"`
+	OK         bool   `json:"ok"`
+	Generation uint64 `json:"generation,omitempty"`
+	Error      string `json:"error,omitempty"`
+}
+
+// nodeReporter is implemented by sources that front other servers;
+// the server then mounts /cluster/stats.
+type nodeReporter interface {
+	NodeStats() []NodeStatus
+}
+
+// ErrUpstream marks a failure of a backend the live source fronts (a
+// cluster node): the request was fine but no answer could be assembled.
+// Errors matching it map to 502.
+var ErrUpstream = errors.New("serve: upstream failure")
+
 // Server answers cube queries over HTTP straight off encoded cube files
-// and, in live mode, straight off a cubestore.
+// and, in live mode, straight off a live source.
 type Server struct {
 	dir         string
 	cache       *viewCache
-	store       *cubestore.Store
+	store       Source
+	local       *cubestore.Store // store, when it is a local cubestore
 	liveName    string
 	groupLimit  int
-	reflectJSON bool
 	clusterNode bool
 	timeDim     string
 	timeLayout  string
@@ -179,11 +218,11 @@ func New(opts Options) (*Server, error) {
 	if now == nil {
 		now = time.Now
 	}
+	local, _ := opts.Store.(*cubestore.Store)
 	return &Server{
 		dir: opts.Dir, cache: newViewCache(size),
-		store: opts.Store, liveName: liveName, groupLimit: limit,
-		reflectJSON: opts.ReflectJSON, clusterNode: opts.ClusterNode,
-		timeDim: opts.TimeDim, timeLayout: opts.TimeLayout, now: now,
+		store: opts.Store, local: local, liveName: liveName, groupLimit: limit,
+		clusterNode: opts.ClusterNode, timeDim: opts.TimeDim, timeLayout: opts.TimeLayout, now: now,
 	}, nil
 }
 
@@ -193,7 +232,7 @@ func New(opts Options) (*Server, error) {
 // misspelled -warm argument should stop the process, not serve cold.
 func (s *Server) Warm(names []string) error {
 	for _, name := range names {
-		if s.store != nil && name == s.liveName {
+		if s.isLive(name) {
 			continue
 		}
 		if _, err := s.view(name); err != nil {
@@ -244,7 +283,16 @@ func (s *Server) Handler() http.Handler {
 	}
 	if s.store != nil {
 		mux.HandleFunc("/ingest", s.handleIngest)
+	}
+	if s.local != nil {
 		mux.HandleFunc("/store/stats", s.handleStoreStats)
+	}
+	if nr, ok := s.store.(nodeReporter); ok {
+		mux.HandleFunc("/cluster/stats", func(w http.ResponseWriter, r *http.Request) {
+			buf := getBuf()
+			*buf = appendClusterStatsResponse((*buf)[:0], s.store.Dims(), nr.NodeStats())
+			send(w, http.StatusOK, buf)
+		})
 	}
 	return mux
 }
@@ -277,29 +325,20 @@ func errStatus(err error) int {
 		return http.StatusBadRequest
 	case errors.Is(err, cubestore.ErrClosed):
 		return http.StatusServiceUnavailable
-	case errors.Is(err, dwarf.ErrCorruptCube), errors.Is(err, dwarf.ErrBadMagic), errors.Is(err, dwarf.ErrBadVersion):
-		// The file on disk is not a servable cube: the client didn't err,
-		// the registry did.
+	case errors.Is(err, dwarf.ErrCorruptCube), errors.Is(err, dwarf.ErrBadMagic), errors.Is(err, dwarf.ErrBadVersion),
+		errors.Is(err, ErrUpstream):
+		// The file on disk is not a servable cube, or a backend failed:
+		// the client didn't err, what the server fronts did.
 		return http.StatusBadGateway
 	}
 	return http.StatusInternalServerError
 }
 
-// errorResponse is the error envelope, {"error": …}.
-type errorResponse struct {
-	Error string `json:"error"`
-}
-
 // fail writes the error envelope with the mapped status.
 func (s *Server) fail(w http.ResponseWriter, err error) {
-	status := errStatus(err)
-	if s.reflectJSON {
-		s.legacyError(w, status, err)
-		return
-	}
 	buf := getBuf()
 	*buf = appendErrorResponse((*buf)[:0], err.Error())
-	send(w, status, buf)
+	send(w, errStatus(err), buf)
 }
 
 // jsonContentType is the shared Content-Type header value: assigning the
@@ -373,27 +412,55 @@ func (s *Server) view(name string) (*dwarf.CubeView, error) {
 	return s.cache.add(name, path, v, size, modTime), nil
 }
 
-// source resolves a cube name to its query target — the live store for the
-// reserved live name, a (cached) file-backed view otherwise — as the shared
+// isLive reports whether a cube name addresses the live source: the
+// reserved live name, or no name at all on a live-only server.
+func (s *Server) isLive(name string) bool {
+	return s.store != nil && (name == s.liveName || name == "" && s.dir == "")
+}
+
+// source resolves a cube name to its query target — the live source for
+// the live name, a (cached) file-backed view otherwise — as the shared
 // engine surface (query.Querier) every /query/* handler is written against.
 func (s *Server) source(name string) (query.Querier, error) {
-	if s.store != nil && name == s.liveName {
+	if s.isLive(name) {
 		return s.store, nil
 	}
 	return s.view(name)
 }
 
-// aggJSON is the wire form of an aggregate.
-type aggJSON struct {
-	Sum   float64 `json:"sum"`
-	Count int64   `json:"count"`
-	Min   float64 `json:"min"`
-	Max   float64 `json:"max"`
-	Avg   float64 `json:"avg"`
+// target is what every /query/* body names: the cube, and whether an
+// answer over surviving backends is acceptable when some fail.
+type target struct {
+	Cube         string `json:"cube"`
+	AllowPartial bool   `json:"allow_partial,omitempty"`
 }
 
-func toAggJSON(a dwarf.Aggregate) aggJSON {
-	return aggJSON{Sum: a.Sum, Count: a.Count, Min: a.Min, Max: a.Max, Avg: a.Avg()}
+// answer runs fn over v. When fn fails and the request set allowPartial
+// over a survivable source, fn re-runs over the surviving backends and the
+// failed ones are returned for the envelope's partial marking; an answer
+// over zero backends is never a partial answer, so that stays an error.
+func answer[T any](v query.Querier, allowPartial bool, fn func(query.Querier) (T, error)) (T, []string, error) {
+	res, err := fn(v)
+	if err == nil || !allowPartial {
+		return res, nil, err
+	}
+	sv, ok := v.(survivable)
+	if !ok {
+		return res, nil, err
+	}
+	alive, failed, ok := sv.Survivors(err)
+	if !ok {
+		return res, nil, err
+	}
+	res, err = fn(alive)
+	return res, failed, err
+}
+
+// sendAnswer sends a finished 200 envelope, marked partial when backends
+// failed.
+func sendAnswer(w http.ResponseWriter, buf *[]byte, failed []string) {
+	*buf = appendPartialMark(*buf, failed)
+	send(w, http.StatusOK, buf)
 }
 
 // selectorSpec is the wire form of a dwarf.Selector.
@@ -504,14 +571,6 @@ type cubeInfo struct {
 	Loaded    bool   `json:"loaded"`
 }
 
-// cubesResponse is the /cubes envelope.
-type cubesResponse struct {
-	Cache []CacheInfo `json:"cache"`
-	Cubes []cubeInfo  `json:"cubes"`
-	Dir   string      `json:"dir"`
-	Live  string      `json:"live,omitempty"`
-}
-
 // handleCubes lists the registry: every cube file in the serving directory
 // plus the current hot cache, MRU first, plus the live cube when the server
 // fronts a store.
@@ -539,10 +598,6 @@ func (s *Server) handleCubes(w http.ResponseWriter, r *http.Request) {
 			})
 		}
 		sort.Slice(cubes, func(i, j int) bool { return cubes[i].Name < cubes[j].Name })
-	}
-	if s.reflectJSON {
-		s.legacyCubes(w, cubes)
-		return
 	}
 	live := ""
 	if s.store != nil {
@@ -591,15 +646,8 @@ func fileHasTrailer(path string) bool {
 
 // pointRequest is the POST form of /query/point.
 type pointRequest struct {
-	Cube string   `json:"cube"`
+	target
 	Keys []string `json:"keys"`
-}
-
-// pointResponse is the /query/point envelope.
-type pointResponse struct {
-	Aggregate aggJSON  `json:"aggregate"`
-	Cube      string   `json:"cube"`
-	Keys      []string `json:"keys"`
 }
 
 // pointArgs is pooled scratch for the GET /query/point parameter parse, so
@@ -681,15 +729,14 @@ func unescapeQueryComponent(s string) (string, bool) {
 func (s *Server) handlePoint(w http.ResponseWriter, r *http.Request) {
 	var cube string
 	var keys []string
+	var allowPartial bool
 	if r.Method == http.MethodPost {
 		var req pointRequest
 		if err := decodeBody(w, r, &req, maxQueryBodyBytes); err != nil {
 			s.fail(w, err)
 			return
 		}
-		cube, keys = req.Cube, req.Keys
-	} else if s.reflectJSON {
-		cube, keys = legacyPointQuery(r)
+		cube, keys, allowPartial = req.Cube, req.Keys, req.AllowPartial
 	} else {
 		pa := pointArgsPool.Get().(*pointArgs)
 		defer pointArgsPool.Put(pa)
@@ -700,33 +747,25 @@ func (s *Server) handlePoint(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, err)
 		return
 	}
-	agg, err := v.Point(keys...)
+	agg, failed, err := answer(v, allowPartial, func(q query.Querier) (dwarf.Aggregate, error) {
+		return q.Point(keys...)
+	})
 	if err != nil {
 		s.fail(w, err)
 		return
 	}
-	if s.reflectJSON {
-		s.legacyPoint(w, cube, keys, agg)
-		return
-	}
 	buf := getBuf()
 	*buf = appendPointResponse((*buf)[:0], cube, keys, agg)
-	send(w, http.StatusOK, buf)
+	sendAnswer(w, buf, failed)
 }
 
 // rangeRequest is the body of /query/range. Window, when set, is a
 // trailing-duration shorthand ("24h", "7d") compiled into a range selector
 // on the server's time dimension (Options.TimeDim).
 type rangeRequest struct {
-	Cube      string         `json:"cube"`
+	target
 	Selectors []selectorSpec `json:"selectors"`
 	Window    string         `json:"window,omitempty"`
-}
-
-// rangeResponse is the /query/range envelope.
-type rangeResponse struct {
-	Aggregate aggJSON `json:"aggregate"`
-	Cube      string  `json:"cube"`
 }
 
 func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
@@ -753,18 +792,16 @@ func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, err)
 		return
 	}
-	agg, err := v.Range(sels)
+	agg, failed, err := answer(v, req.AllowPartial, func(q query.Querier) (dwarf.Aggregate, error) {
+		return q.Range(sels)
+	})
 	if err != nil {
 		s.fail(w, err)
 		return
 	}
-	if s.reflectJSON {
-		s.legacyRange(w, req.Cube, agg)
-		return
-	}
 	buf := getBuf()
 	*buf = appendRangeResponse((*buf)[:0], req.Cube, agg)
-	send(w, http.StatusOK, buf)
+	sendAnswer(w, buf, failed)
 }
 
 // page bounds one keyed response: the requested offset into the result's
@@ -816,24 +853,11 @@ func dimIndex(q query.Querier, field string) (int, error) {
 // groupByRequest is the body of /query/groupby. Dim is a dimension name or
 // a 0-based index rendered as a string.
 type groupByRequest struct {
-	Cube      string         `json:"cube"`
+	target
 	Dim       string         `json:"dim"`
 	Selectors []selectorSpec `json:"selectors"`
 	Window    string         `json:"window,omitempty"`
 	page
-}
-
-// groupByResponse is the /query/groupby envelope layout. The fast path
-// streams the page without materializing the map; the differential suite
-// marshals this struct as the byte-for-byte reference.
-type groupByResponse struct {
-	Cube        string             `json:"cube"`
-	Dim         string             `json:"dim"`
-	Groups      map[string]aggJSON `json:"groups"`
-	Limit       int                `json:"limit"`
-	Offset      int                `json:"offset"`
-	TotalGroups int                `json:"total_groups"`
-	Truncated   bool               `json:"truncated"`
 }
 
 func (s *Server) handleGroupBy(w http.ResponseWriter, r *http.Request) {
@@ -870,7 +894,9 @@ func (s *Server) handleGroupBy(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, err)
 		return
 	}
-	groups, err := v.GroupBy(dim, sels)
+	groups, failed, err := answer(v, req.AllowPartial, func(q query.Querier) (map[string]dwarf.Aggregate, error) {
+		return q.GroupBy(dim, sels)
+	})
 	if err != nil {
 		s.fail(w, err)
 		return
@@ -882,22 +908,17 @@ func (s *Server) handleGroupBy(w http.ResponseWriter, r *http.Request) {
 	}
 	sort.Strings(keys)
 	pageKeys, truncated := window(keys, offset, limit)
-	dimName := v.Dims()[dim]
-	if s.reflectJSON {
-		s.legacyGroupBy(w, req.Cube, dimName, pageKeys, groups, offset, limit, truncated)
-		return
-	}
 	buf := getBuf()
-	*buf = appendGroupByResponse((*buf)[:0], req.Cube, dimName, pageKeys, groups,
+	*buf = appendGroupByResponse((*buf)[:0], req.Cube, v.Dims()[dim], pageKeys, groups,
 		len(groups), offset, limit, truncated)
-	send(w, http.StatusOK, buf)
+	sendAnswer(w, buf, failed)
 }
 
 // topKRequest is the body of /query/topk. By is a metric name (sum, count,
 // min, max, avg; sum when empty); Threshold, when present, is the iceberg
 // floor applied before the K cut.
 type topKRequest struct {
-	Cube      string         `json:"cube"`
+	target
 	Dim       string         `json:"dim"`
 	Selectors []selectorSpec `json:"selectors"`
 	K         int            `json:"k"`
@@ -905,25 +926,6 @@ type topKRequest struct {
 	Threshold *float64       `json:"threshold"`
 	Window    string         `json:"window,omitempty"`
 	page
-}
-
-// entryJSON is one ranked row in the /query/topk envelope.
-type entryJSON struct {
-	Key       string  `json:"key"`
-	Metric    float64 `json:"metric"`
-	Aggregate aggJSON `json:"aggregate"`
-}
-
-// topKResponse is the /query/topk envelope layout (differential reference).
-type topKResponse struct {
-	By           string      `json:"by"`
-	Cube         string      `json:"cube"`
-	Dim          string      `json:"dim"`
-	Entries      []entryJSON `json:"entries"`
-	Limit        int         `json:"limit"`
-	Offset       int         `json:"offset"`
-	TotalEntries int         `json:"total_entries"`
-	Truncated    bool        `json:"truncated"`
 }
 
 func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
@@ -973,59 +975,35 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	if req.Threshold != nil {
 		spec.Threshold, spec.HasThreshold = *req.Threshold, true
 	}
-	entries, err := v.TopK(dim, sels, spec)
+	entries, failed, err := answer(v, req.AllowPartial, func(q query.Querier) ([]dwarf.GroupEntry, error) {
+		return q.TopK(dim, sels, spec)
+	})
 	if err != nil {
 		s.fail(w, err)
 		return
 	}
 	pageEntries, truncated := window(entries, offset, limit)
-	dimName := v.Dims()[dim]
-	if s.reflectJSON {
-		s.legacyTopK(w, req.Cube, dimName, by, pageEntries, len(entries), offset, limit, truncated)
-		return
-	}
 	buf := getBuf()
-	*buf = appendTopKResponse((*buf)[:0], req.Cube, dimName, by, pageEntries,
+	*buf = appendTopKResponse((*buf)[:0], req.Cube, v.Dims()[dim], by, pageEntries,
 		len(entries), offset, limit, truncated)
-	send(w, http.StatusOK, buf)
+	sendAnswer(w, buf, failed)
 }
 
-// rowJSON is one keyed row in the /query/rollup and /query/pivot envelopes.
-type rowJSON struct {
-	Keys      []string `json:"keys"`
-	Aggregate aggJSON  `json:"aggregate"`
-}
+// writeRows emits the shared keyed-rows envelope for one page of
+// pivot-shaped results.
+func writeRows(w http.ResponseWriter, cube string, dims []string, rows []dwarf.PivotGroup,
+	offset, limit int, failed []string) {
 
-// rowsResponse is the keyed-rows envelope layout shared by /query/rollup
-// and /query/pivot (differential reference).
-type rowsResponse struct {
-	Cube        string    `json:"cube"`
-	Dims        []string  `json:"dims"`
-	Groups      []rowJSON `json:"groups"`
-	Limit       int       `json:"limit"`
-	Offset      int       `json:"offset"`
-	TotalGroups int       `json:"total_groups"`
-	Truncated   bool      `json:"truncated"`
-}
-
-// writeRows emits the shared keyed-rows envelope for a page of pivot-shaped
-// results.
-func (s *Server) writeRows(w http.ResponseWriter, cube string, dims []string,
-	rows []dwarf.PivotGroup, total, offset, limit int, truncated bool) {
-
-	if s.reflectJSON {
-		s.legacyRows(w, cube, dims, rows, total, offset, limit, truncated)
-		return
-	}
+	pageRows, truncated := window(rows, offset, limit)
 	buf := getBuf()
-	*buf = appendRowsResponse((*buf)[:0], cube, dims, rows, total, offset, limit, truncated)
-	send(w, http.StatusOK, buf)
+	*buf = appendRowsResponse((*buf)[:0], cube, dims, pageRows, len(rows), offset, limit, truncated)
+	sendAnswer(w, buf, failed)
 }
 
 // rollUpRequest is the body of /query/rollup: the named dimensions to keep;
 // all others are aggregated away through their ALL cells.
 type rollUpRequest struct {
-	Cube string   `json:"cube"`
+	target
 	Keep []string `json:"keep"`
 	page
 }
@@ -1050,19 +1028,22 @@ func (s *Server) handleRollUp(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, err)
 		return
 	}
-	dims, rows, err := query.RollUp(v, req.Keep...)
+	var dims []string
+	rows, failed, err := answer(v, req.AllowPartial, func(q query.Querier) (rows []dwarf.PivotGroup, err error) {
+		dims, rows, err = query.RollUp(q, req.Keep...)
+		return rows, err
+	})
 	if err != nil {
 		s.fail(w, err)
 		return
 	}
-	pageRows, truncated := window(rows, offset, limit)
-	s.writeRows(w, req.Cube, dims, pageRows, len(rows), offset, limit, truncated)
+	writeRows(w, req.Cube, dims, rows, offset, limit, failed)
 }
 
 // pivotRequest is the body of /query/pivot: the dimensions to group by
 // (names or 0-based indexes rendered as strings), in output-column order.
 type pivotRequest struct {
-	Cube      string         `json:"cube"`
+	target
 	Dims      []string       `json:"dims"`
 	Selectors []selectorSpec `json:"selectors"`
 	Window    string         `json:"window,omitempty"`
@@ -1108,7 +1089,9 @@ func (s *Server) handlePivot(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, err)
 		return
 	}
-	rows, err := v.Pivot(dims, sels)
+	rows, failed, err := answer(v, req.AllowPartial, func(q query.Querier) ([]dwarf.PivotGroup, error) {
+		return q.Pivot(dims, sels)
+	})
 	if err != nil {
 		s.fail(w, err)
 		return
@@ -1119,26 +1102,16 @@ func (s *Server) handlePivot(w http.ResponseWriter, r *http.Request) {
 	for i, idx := range dims {
 		names[i] = allDims[idx]
 	}
-	pageRows, truncated := window(rows, offset, limit)
-	s.writeRows(w, req.Cube, names, pageRows, len(rows), offset, limit, truncated)
-}
-
-// statsResponse is the /stats envelope.
-type statsResponse struct {
-	AllCells     int      `json:"all_cells"`
-	Cells        int      `json:"cells"`
-	Cube         string   `json:"cube"`
-	Dims         []string `json:"dims"`
-	EncodedBytes int      `json:"encoded_bytes"`
-	Indexed      bool     `json:"indexed"`
-	Nodes        int      `json:"nodes"`
-	SourceTuples int      `json:"source_tuples"`
-	TotalCells   int      `json:"total_cells"`
+	writeRows(w, req.Cube, names, rows, offset, limit, failed)
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	cube := r.URL.Query().Get("cube")
-	if s.store != nil && cube == s.liveName {
+	if s.isLive(cube) {
+		if s.local == nil {
+			s.fail(w, badRequest("cube %q is not a local store: no store stats here", cube))
+			return
+		}
 		s.handleStoreStats(w, r)
 		return
 	}
@@ -1150,10 +1123,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	st, err := v.Stats()
 	if err != nil {
 		s.fail(w, err)
-		return
-	}
-	if s.reflectJSON {
-		s.legacyStats(w, cube, v, st)
 		return
 	}
 	buf := getBuf()
@@ -1173,15 +1142,11 @@ type ingestRequest struct {
 	Tuples []tupleSpec `json:"tuples"`
 }
 
-// ingestResponse is the /ingest acknowledgement envelope.
-type ingestResponse struct {
-	Appended    int `json:"appended"`
-	TotalTuples int `json:"total_tuples"`
-}
-
-// handleIngest appends one batch to the live store. When it responds 200
+// handleIngest appends one batch to the live source. When it responds 200
 // the batch is durable (store fsync policy permitting) and visible to every
-// subsequent /query/* against the live cube.
+// subsequent /query/* against the live cube. The ack carries the store's
+// total_tuples only for a local store: a cluster would need a second round
+// trip to every node to know it.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		s.fail(w, badRequest("POST a JSON body to /ingest"))
@@ -1204,32 +1169,20 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, err)
 		return
 	}
-	total := s.store.TotalTuples()
-	if s.reflectJSON {
-		s.legacyIngest(w, len(batch), total)
-		return
+	total := -1
+	if s.local != nil {
+		total = s.local.TotalTuples()
 	}
 	buf := getBuf()
 	*buf = appendIngestResponse((*buf)[:0], len(batch), total)
 	send(w, http.StatusOK, buf)
 }
 
-// storeStatsResponse is the /store/stats envelope.
-type storeStatsResponse struct {
-	Cube  string          `json:"cube"`
-	Stats cubestore.Stats `json:"stats"`
-}
-
 // handleStoreStats reports the live store's shape: segment inventory with
 // compaction levels, live/sealed tuple counts, WAL position and lifetime
 // seal/compaction counters.
 func (s *Server) handleStoreStats(w http.ResponseWriter, r *http.Request) {
-	st := s.store.Stats()
-	if s.reflectJSON {
-		s.legacyStoreStats(w, st)
-		return
-	}
 	buf := getBuf()
-	*buf = appendStoreStatsResponse((*buf)[:0], s.liveName, st)
+	*buf = appendStoreStatsResponse((*buf)[:0], s.liveName, s.local.Stats())
 	send(w, http.StatusOK, buf)
 }
