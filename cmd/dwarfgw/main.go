@@ -80,12 +80,16 @@ func main() {
 		os.Exit(1)
 	}
 
-	gens, err := coord.Generations()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dwarfgw: warning: not all nodes reachable at startup: %v\n", err)
+	reachable := 0
+	for _, st := range coord.NodeStats() {
+		if st.OK {
+			reachable++
+		} else {
+			fmt.Fprintf(os.Stderr, "dwarfgw: warning: node %s unreachable at startup: %s\n", st.Node, st.Error)
+		}
 	}
 	fmt.Fprintf(os.Stderr, "dwarfgw: %d nodes, %d reachable, dims %v, serving on %s\n",
-		coord.NumNodes(), len(gens), dimList, *addr)
+		coord.NumNodes(), reachable, dimList, *addr)
 
 	srv := serve.NewHTTPServer(*addr, cluster.NewGateway(coord, *groupLimit).Handler())
 	fmt.Fprintln(os.Stderr, "dwarfgw:", srv.ListenAndServe())

@@ -6,10 +6,13 @@
 package bench
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"time"
@@ -97,6 +100,45 @@ func FormatMs(d time.Duration) string {
 	return fmt.Sprintf("%d", d.Milliseconds())
 }
 
+// report is the -json output: the result rows of every experiment that
+// ran, keyed by experiment name, with what it takes to compare two files.
+type report struct {
+	GoVersion   string         `json:"go_version"`
+	GoMaxProcs  int            `json:"gomaxprocs"`
+	Commit      string         `json:"commit"`
+	Experiments map[string]any `json:"experiments"`
+}
+
+// WriteJSON writes the experiments' results to path as one JSON object,
+// stamped with the Go version, GOMAXPROCS and the source commit.
+func WriteJSON(path string, experiments map[string]any) error {
+	data, err := json.MarshalIndent(report{
+		GoVersion:   runtime.Version(),
+		GoMaxProcs:  runtime.GOMAXPROCS(0),
+		Commit:      commit(),
+		Experiments: experiments,
+	}, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(data, '\n'), 0o644)
+}
+
+// commit names the checked-out revision, with "+dirty" when tracked files
+// differ from it, or "unknown" outside a git checkout. go run stamps no
+// VCS information into the binary, so ask git.
+func commit() string {
+	out, err := exec.Command("git", "rev-parse", "HEAD").Output()
+	if err != nil {
+		return "unknown"
+	}
+	rev := strings.TrimSpace(string(out))
+	if st, err := exec.Command("git", "status", "--porcelain", "--untracked-files=no").Output(); err == nil && len(st) > 0 {
+		rev += "+dirty"
+	}
+	return rev
+}
+
 // Dataset cache: built once per process, shared by benchmarks and the
 // harness binary.
 var (
@@ -153,13 +195,12 @@ func (w *countingWriter) Write(p []byte) (int, error) {
 // Table2Row is one dataset row: tuples and source-XML size, measured vs.
 // the paper's figures.
 type Table2Row struct {
-	Preset       smartcity.Preset
-	Tuples       int
-	XMLBytes     int64
-	CubeNodes    int
-	CubeCells    int
-	BuildTime    time.Duration
-	MeasuredOnly bool
+	Preset    smartcity.Preset `json:"preset"`
+	Tuples    int              `json:"tuples"`
+	XMLBytes  int64            `json:"xml_bytes"`
+	CubeNodes int              `json:"cube_nodes"`
+	CubeCells int              `json:"cube_cells"`
+	BuildTime time.Duration    `json:"build_ns"`
 }
 
 // RunTable2 generates each preset, measures its emitted XML size and the
@@ -219,12 +260,12 @@ func FormatTable2(rows []Table2Row) *Table {
 
 // StoreResult is one (schema model, dataset) measurement for Tables 4/5.
 type StoreResult struct {
-	Kind     mapper.Kind
-	Preset   string
-	SaveTime time.Duration
-	Bytes    int64
-	LoadTime time.Duration
-	Loaded   bool
+	Kind     mapper.Kind   `json:"kind"`
+	Preset   string        `json:"preset"`
+	SaveTime time.Duration `json:"save_ns"`
+	Bytes    int64         `json:"bytes"`
+	LoadTime time.Duration `json:"load_ns,omitempty"`
+	Loaded   bool          `json:"loaded"`
 }
 
 // RunStorageExperiment saves each preset's cube in each schema model,
@@ -389,15 +430,15 @@ var PaperTable5 = map[mapper.Kind]map[string]string{
 // ParallelBuildResult is one (preset, workers) cube-construction
 // measurement of the sharded-build ablation.
 type ParallelBuildResult struct {
-	Preset  string
-	Workers int
-	Tuples  int
-	Build   time.Duration
+	Preset  string        `json:"preset"`
+	Workers int           `json:"workers"`
+	Tuples  int           `json:"tuples"`
+	Build   time.Duration `json:"build_ns"`
 	// Speedup is serial build time divided by this row's build time (1.0 for
 	// the serial row itself).
-	Speedup float64
-	Nodes   int
-	Cells   int
+	Speedup float64 `json:"speedup"`
+	Nodes   int     `json:"nodes"`
+	Cells   int     `json:"cells"`
 }
 
 // RunParallelBuild measures cube construction at each worker count over
@@ -482,11 +523,11 @@ func FormatParallelBuild(results []ParallelBuildResult) *Table {
 
 // BaoResult is one flat-file baseline measurement for the §5.1 comparison.
 type BaoResult struct {
-	Preset      string
-	Layout      flatfile.Layout
-	Bytes       int64
-	WriteTime   time.Duration
-	NoSQLDwarfB int64
+	Preset      string          `json:"preset"`
+	Layout      flatfile.Layout `json:"layout"`
+	Bytes       int64           `json:"bytes"`
+	WriteTime   time.Duration   `json:"write_ns"`
+	NoSQLDwarfB int64           `json:"nosql_dwarf_bytes"`
 }
 
 // RunBaoComparison writes each preset's cube as both flat-file layouts and

@@ -1,10 +1,15 @@
 package bench
 
 import (
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/flatfile"
 	"repro/internal/mapper"
 )
 
@@ -193,60 +198,30 @@ func TestPaperReferenceDataComplete(t *testing.T) {
 	}
 }
 
-func TestRunServe(t *testing.T) {
-	results, err := RunServe([]string{"Day"}, 200, 1)
+func TestWriteJSON(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "paper.json")
+	rows := []BaoResult{{Preset: "Day", Layout: flatfile.Recursive, Bytes: 10, WriteTime: time.Millisecond}}
+	if err := WriteJSON(path, map[string]any{"bao": rows}); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("RunServe: %v", err)
+		t.Fatal(err)
 	}
-	if len(results) != 1 {
-		t.Fatalf("got %d results, want 1", len(results))
+	var got struct {
+		GoVersion   string `json:"go_version"`
+		GoMaxProcs  int    `json:"gomaxprocs"`
+		Commit      string `json:"commit"`
+		Experiments map[string][]map[string]any
 	}
-	r := results[0]
-	if r.Queries == 0 || r.EncodedBytes == 0 {
-		t.Fatalf("empty measurement: %+v", r)
+	if err := json.Unmarshal(data, &got); err != nil {
+		t.Fatal(err)
 	}
-	if r.DecodeOpen <= 0 || r.ViewOpen <= 0 || r.TrustedOpen <= 0 || r.ScanOpen <= 0 {
-		t.Fatalf("missing open timings: %+v", r)
+	if got.GoVersion != runtime.Version() || got.GoMaxProcs != runtime.GOMAXPROCS(0) || got.Commit == "" {
+		t.Errorf("header = %+v", got)
 	}
-	if r.CubeQPS <= 0 || r.ViewQPS <= 0 {
-		t.Fatalf("missing throughput: %+v", r)
-	}
-	if r.OpenSpeedup() <= 1 {
-		t.Fatalf("view open (%v) not faster than full decode (%v)", r.ViewOpen, r.DecodeOpen)
-	}
-	out := FormatServe(results).String()
-	if !strings.Contains(out, "Day") {
-		t.Fatalf("FormatServe missing dataset row:\n%s", out)
-	}
-}
-
-func TestRunPruneBench(t *testing.T) {
-	results, err := RunPruneBench([]string{"Day"}, nil)
-	if err != nil {
-		t.Fatalf("RunPruneBench: %v", err)
-	}
-	if len(results) != 1 {
-		t.Fatalf("got %d results, want 1", len(results))
-	}
-	r := results[0]
-	if r.Segments < 1 || len(r.Windows) == 0 {
-		t.Fatalf("empty measurement: %+v", r)
-	}
-	for _, w := range r.Windows {
-		if w.SegmentsScanned+w.SegmentsPruned != w.SegmentsTotal {
-			t.Fatalf("window %s: scanned %d + pruned %d != %d",
-				w.Window, w.SegmentsScanned, w.SegmentsPruned, w.SegmentsTotal)
-		}
-		if len(w.Pruned) != 3 || len(w.Full) != 3 || w.Speedup <= 0 {
-			t.Fatalf("window %s missing timings: %+v", w.Window, w)
-		}
-	}
-	// The 1-day trailing window must prune when more than one day sealed.
-	if r.Segments > 1 && r.Windows[0].SegmentsPruned == 0 {
-		t.Fatalf("1d window pruned nothing over %d segments", r.Segments)
-	}
-	out := FormatPruneBench(results).String()
-	if !strings.Contains(out, "Day") || !strings.Contains(out, "1d") {
-		t.Fatalf("FormatPruneBench missing rows:\n%s", out)
+	bao := got.Experiments["bao"]
+	if len(bao) != 1 || bao[0]["layout"] != "recursive" || bao[0]["write_ns"] != float64(time.Millisecond) {
+		t.Errorf("bao rows = %v", bao)
 	}
 }

@@ -18,13 +18,13 @@ import (
 
 // QueryResult is one schema model's on-store query cost.
 type QueryResult struct {
-	Kind        mapper.Kind
-	Preset      string
-	Queries     int
-	Total       time.Duration
-	PerQuery    time.Duration
-	LoadTime    time.Duration // full rebuild, for comparison
-	MemPerQuery time.Duration // same battery against the loaded cube
+	Kind        mapper.Kind   `json:"kind"`
+	Preset      string        `json:"preset"`
+	Queries     int           `json:"queries"`
+	Total       time.Duration `json:"total_ns"`
+	PerQuery    time.Duration `json:"per_query_ns"`
+	LoadTime    time.Duration `json:"load_ns"`          // full rebuild, for comparison
+	MemPerQuery time.Duration `json:"mem_per_query_ns"` // same battery against the loaded cube
 }
 
 // RunQueryExperiment saves the preset's cube in every schema model and

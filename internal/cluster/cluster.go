@@ -419,31 +419,6 @@ func (c *Coordinator) Append(tuples []dwarf.Tuple) error {
 	return strictErr(len(involved), failed)
 }
 
-// Generations probes every node's store generation (via /store/stats),
-// returning base URL → generation. A node that cannot be reached is
-// reported in the error and omitted from the map.
-func (c *Coordinator) Generations() (map[string]uint64, error) {
-	nodes := c.snapshot()
-	type genT struct {
-		base string
-		gen  uint64
-	}
-	parts, failed := scatter(nodes, func(n *node) (genT, error) {
-		gen, err := n.generation()
-		return genT{base: n.base, gen: gen}, err
-	})
-	out := make(map[string]uint64, len(parts))
-	for _, p := range parts {
-		if p.base != "" {
-			out[p.base] = p.gen
-		}
-	}
-	for _, f := range failed {
-		delete(out, f.Node)
-	}
-	return out, strictErr(len(nodes), failed)
-}
-
 // mergeAggs folds per-node aggregates in node order.
 func mergeAggs(parts []dwarf.Aggregate) dwarf.Aggregate {
 	var out dwarf.Aggregate

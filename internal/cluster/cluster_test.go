@@ -488,23 +488,44 @@ func TestAppendFailureNamesNode(t *testing.T) {
 	}
 }
 
-// TestGenerations probes every node's store generation.
-func TestGenerations(t *testing.T) {
-	tc := newTestCluster(t, 3, Options{})
+// TestNodeStats pins the /cluster/stats rows: one OK row per node, in node
+// order, with generations that advance on a load; a killed node's row, and
+// only that row, turns OK == false with the probe's error.
+func TestNodeStats(t *testing.T) {
+	tc := newTestCluster(t, 3, Options{Retries: -1, Timeout: 2 * time.Second})
 	tc.load(t, testTuples(30))
-	gens, err := tc.coord.Generations()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(gens) != 3 {
-		t.Fatalf("got %d generations, want 3: %v", len(gens), gens)
+	rows := tc.coord.NodeStats()
+	if len(rows) != 3 {
+		t.Fatalf("got %d rows, want 3: %+v", len(rows), rows)
 	}
 	var total uint64
-	for _, g := range gens {
-		total += g
+	for i, r := range rows {
+		if r.Node != tc.nodes[i].srv.URL || !r.OK || r.Error != "" {
+			t.Fatalf("row %d = %+v, want an OK row for %s", i, r, tc.nodes[i].srv.URL)
+		}
+		total += r.Generation
 	}
 	if total == 0 {
 		t.Fatal("all generations zero after a load")
+	}
+
+	dead := tc.nodes[1]
+	dead.srv.Close()
+	rows = tc.coord.NodeStats()
+	if len(rows) != 3 {
+		t.Fatalf("got %d rows after a kill, want 3: %+v", len(rows), rows)
+	}
+	for i, r := range rows {
+		if r.Node != tc.nodes[i].srv.URL {
+			t.Fatalf("row %d names %s, want %s", i, r.Node, tc.nodes[i].srv.URL)
+		}
+		if i == 1 {
+			if r.OK || r.Error == "" || r.Generation != 0 {
+				t.Fatalf("dead node row = %+v, want OK false with an error", r)
+			}
+		} else if !r.OK || r.Error != "" {
+			t.Fatalf("surviving node row %d = %+v, want OK", i, r)
+		}
 	}
 }
 

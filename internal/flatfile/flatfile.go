@@ -48,6 +48,9 @@ func (l Layout) String() string {
 	}
 }
 
+// MarshalText encodes the layout by name.
+func (l Layout) MarshalText() ([]byte, error) { return []byte(l.String()), nil }
+
 const (
 	magic      = "DWRFFLAT"
 	footerSize = 8 + 8 + 4 + 4

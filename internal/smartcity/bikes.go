@@ -170,14 +170,14 @@ func (f *BikeFeed) Take(n int) []BikeRecord {
 
 // Preset is one of the paper's five evaluation datasets (Table 2).
 type Preset struct {
-	Name string
+	Name string `json:"name"`
 	// Tuples is the exact fact count of Table 2.
-	Tuples int
+	Tuples int `json:"tuples"`
 	// PaperMB is the source-data size the paper reports, for the Table 2
 	// comparison row.
-	PaperMB float64
+	PaperMB float64 `json:"paper_mb"`
 	// Period is the human description from the paper.
-	Period string
+	Period string `json:"period"`
 }
 
 // Presets mirrors Table 2: Day, Week, Month, TMonth (two months), SMonth

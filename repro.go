@@ -18,7 +18,8 @@
 // internal/mapper (the four schema models), internal/smartcity (synthetic
 // feeds), internal/xmlstream and internal/jsonstream (ingestion),
 // internal/flatfile (the Bao-et-al. baselines), internal/hierarchy
-// (rollup/drill-down) and internal/bench (the experiment harness).
+// (rollup/drill-down) and internal/bench (the harness that regenerates the
+// paper's tables; speed is measured by the repo benchmark in perfbench/).
 package repro
 
 import (
