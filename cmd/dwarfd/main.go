@@ -32,10 +32,14 @@
 //	GET  /stats?cube=week.dwarf
 //	POST /ingest         {"tuples":[{"dims":[…],"measure":…},…]}   (-live)
 //	GET  /store/stats                                              (-live)
-//	POST /query/partial  {"shape":…,"cube":…,…}                    (-cluster-node)
+//	POST /query/partial  binary partial request                    (-cluster-node)
 //
-// -cluster-node additionally serves the unpaged partial-result wire format
-// a cluster coordinator (see cmd/dwarfgw) scatter-gathers over.
+// -cluster-node additionally serves the unpaged per-node partials a
+// cluster coordinator (see cmd/dwarfgw) scatter-gathers over. Request and
+// 200 response bodies are a binary codec of Content-Type
+// application/x-dwarf-partial (anything else is refused with 415), with
+// floats sent as their IEEE-754 bits so partials merge bit-exact; errors
+// are the usual JSON envelope. docs/CLUSTER.md has the format.
 //
 // -warm pre-opens cube files into the view LRU at startup ("*" warms every
 // .dwarf file in -dir), and -time-dim/-time-layout enable trailing-window

@@ -8,106 +8,104 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/dwarf"
+	"repro/internal/serve"
 )
 
 // node is one dwarfd cluster member as seen by the coordinator: a base
 // URL plus the per-attempt timeout and bounded retry/backoff policy.
 type node struct {
-	base    string
-	client  *http.Client
-	timeout time.Duration
-	retries int
-	backoff time.Duration
+	base       string
+	partialURL string
+	client     *http.Client
+	timeout    time.Duration
+	retries    int
+	backoff    time.Duration
 }
 
-// ---- wire types (mirroring internal/serve's request/partial formats) ----
-
-type wireSelector struct {
-	Keys []string `json:"keys,omitempty"`
-	Lo   *string  `json:"lo,omitempty"`
-	Hi   *string  `json:"hi,omitempty"`
-}
-
-type partialReq struct {
-	Shape     string         `json:"shape"`
-	Cube      string         `json:"cube"`
-	Keys      []string       `json:"keys,omitempty"`
-	Dim       string         `json:"dim,omitempty"`
-	Dims      []string       `json:"dims,omitempty"`
-	Selectors []wireSelector `json:"selectors,omitempty"`
-}
-
-// wireAgg decodes the serve aggregate envelope; Avg is derived, ignored.
-type wireAgg struct {
-	Sum   float64 `json:"sum"`
-	Count int64   `json:"count"`
-	Min   float64 `json:"min"`
-	Max   float64 `json:"max"`
-	Avg   float64 `json:"avg"`
-}
-
-func (a wireAgg) agg() dwarf.Aggregate {
-	return dwarf.Aggregate{Sum: a.Sum, Count: a.Count, Min: a.Min, Max: a.Max}
-}
-
-type partialAggResp struct {
-	Generation uint64  `json:"generation"`
-	Aggregate  wireAgg `json:"aggregate"`
-}
-
-type partialGroupsResp struct {
-	Generation uint64             `json:"generation"`
-	Groups     map[string]wireAgg `json:"groups"`
-}
-
-type partialRowsResp struct {
-	Generation uint64 `json:"generation"`
-	Rows       []struct {
-		Keys      []string `json:"keys"`
-		Aggregate wireAgg  `json:"aggregate"`
-	} `json:"rows"`
-}
-
-type errorResp struct {
-	Error string `json:"error"`
-}
-
-// ---- shape calls ----
-
-func (n *node) partialAgg(req partialReq) (dwarf.Aggregate, error) {
-	var resp partialAggResp
-	if err := n.postRetry("/query/partial", req, &resp); err != nil {
-		return dwarf.Aggregate{}, err
+func newNode(baseURL string, client *http.Client, timeout time.Duration, retries int, backoff time.Duration) *node {
+	base := strings.TrimRight(baseURL, "/")
+	return &node{
+		base: base, partialURL: base + "/query/partial", client: client,
+		timeout: timeout, retries: retries, backoff: backoff,
 	}
-	return resp.Aggregate.agg(), nil
 }
 
-func (n *node) partialGroups(req partialReq) (map[string]dwarf.Aggregate, error) {
-	var resp partialGroupsResp
-	if err := n.postRetry("/query/partial", req, &resp); err != nil {
-		return nil, err
+// ---- partial calls ----
+
+// partialContentType is serve.PartialContentType as a header value,
+// assigned without Header.Set's per-request allocation.
+var partialContentType = []string{serve.PartialContentType}
+
+// respPool recycles the buffers partial responses are read into; decoders
+// copy what they keep, so a buffer is free again once its body decoded.
+var respPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// respBufMax is the largest buffer returned to respPool.
+const respBufMax = 1 << 20
+
+// partial POSTs one encoded /query/partial request to n and decodes the
+// 200 body with decode, under the bounded retry policy: queries are
+// idempotent, so transport failures and 5xx responses are retried up to
+// n.retries times with doubling backoff. body is shared by every node of
+// the scatter and only read.
+func partial[T any](n *node, body []byte, decode func([]byte) (uint64, T, error)) (T, error) {
+	backoff := n.backoff
+	for attempt := 0; ; attempt++ {
+		v, err := partialOnce(n, body, decode)
+		if err == nil || !retryable(err) || attempt >= n.retries {
+			return v, err
+		}
+		time.Sleep(backoff)
+		backoff *= 2
 	}
-	out := make(map[string]dwarf.Aggregate, len(resp.Groups))
-	for k, a := range resp.Groups {
-		out[k] = a.agg()
-	}
-	return out, nil
 }
 
-func (n *node) partialRows(req partialReq) ([]dwarf.PivotGroup, error) {
-	var resp partialRowsResp
-	if err := n.postRetry("/query/partial", req, &resp); err != nil {
-		return nil, err
+func partialOnce[T any](n *node, body []byte, decode func([]byte) (uint64, T, error)) (T, error) {
+	var zero T
+	ctx, cancel := context.WithTimeout(context.Background(), n.timeout)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, n.partialURL, bytes.NewReader(body))
+	if err != nil {
+		return zero, err
 	}
-	rows := make([]dwarf.PivotGroup, len(resp.Rows))
-	for i, r := range resp.Rows {
-		rows[i] = dwarf.PivotGroup{Keys: r.Keys, Agg: r.Aggregate.agg()}
+	req.Header["Content-Type"] = partialContentType
+	resp, err := n.roundTrip(req)
+	if err != nil {
+		return zero, err
 	}
-	return rows, nil
+	defer closeBody(resp)
+	if ct := resp.Header.Get("Content-Type"); ct != serve.PartialContentType {
+		return zero, &protocolError{fmt.Errorf("200 response of Content-Type %q, want %q", ct, serve.PartialContentType)}
+	}
+	buf := respPool.Get().(*bytes.Buffer)
+	defer func() {
+		if buf.Cap() <= respBufMax {
+			respPool.Put(buf)
+		}
+	}()
+	buf.Reset()
+	if _, err := buf.ReadFrom(resp.Body); err != nil {
+		return zero, err
+	}
+	_, v, err := decode(buf.Bytes())
+	if err != nil {
+		return zero, &protocolError{err}
+	}
+	return v, nil
 }
+
+// protocolError is a 200 answer the coordinator cannot read: the wrong
+// Content-Type or a malformed body. The node would answer the same way
+// again, so it is not retried.
+type protocolError struct{ err error }
+
+func (e *protocolError) Error() string { return "bad partial response: " + e.err.Error() }
+func (e *protocolError) Unwrap() error { return e.err }
 
 type wireTuple struct {
 	Dims    []string `json:"dims"`
@@ -151,20 +149,9 @@ func (n *node) generation() (uint64, error) {
 
 // ---- transport ----
 
-// postRetry is post with the bounded retry+backoff policy — queries are
-// idempotent, so transport failures and 5xx responses are retried up to
-// n.retries times with doubling backoff.
-func (n *node) postRetry(path string, body, out any) error {
-	var err error
-	backoff := n.backoff
-	for attempt := 0; ; attempt++ {
-		err = n.post(path, body, out)
-		if err == nil || !retryable(err) || attempt >= n.retries {
-			return err
-		}
-		time.Sleep(backoff)
-		backoff *= 2
-	}
+// errorResp is the JSON error envelope of a non-200 node response.
+type errorResp struct {
+	Error string `json:"error"`
 }
 
 // statusError is a non-2xx node response; 5xx ones are retryable.
@@ -184,6 +171,10 @@ func retryable(err error) bool {
 	var se *statusError
 	if errors.As(err, &se) {
 		return se.status >= 500
+	}
+	var pe *protocolError
+	if errors.As(err, &pe) {
+		return false
 	}
 	// Everything else at this layer is a transport/timeout failure.
 	return true
@@ -214,25 +205,39 @@ func (n *node) get(path string, out any) error {
 	return n.do(req, out)
 }
 
+// do sends a JSON request and decodes the JSON 200 body into out.
 func (n *node) do(req *http.Request, out any) error {
-	resp, err := n.client.Do(req)
+	resp, err := n.roundTrip(req)
 	if err != nil {
 		return err
 	}
-	defer func() {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
-		resp.Body.Close()
-	}()
-	if resp.StatusCode != http.StatusOK {
-		var e errorResp
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-		if json.Unmarshal(msg, &e) == nil && e.Error != "" {
-			return &statusError{status: resp.StatusCode, msg: e.Error}
-		}
-		return &statusError{status: resp.StatusCode}
-	}
-	if out == nil {
-		return nil
-	}
+	defer closeBody(resp)
 	return json.NewDecoder(resp.Body).Decode(out)
+}
+
+// roundTrip sends req and returns the 200 response, which the caller
+// closes with closeBody. Any other status is a statusError carrying the
+// node's JSON error message.
+func (n *node) roundTrip(req *http.Request) (*http.Response, error) {
+	resp, err := n.client.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	if resp.StatusCode == http.StatusOK {
+		return resp, nil
+	}
+	defer closeBody(resp)
+	var e errorResp
+	msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
+	if json.Unmarshal(msg, &e) == nil && e.Error != "" {
+		return nil, &statusError{status: resp.StatusCode, msg: e.Error}
+	}
+	return nil, &statusError{status: resp.StatusCode}
+}
+
+// closeBody drains a little of what is left of a body, so the connection
+// can be reused, and closes it.
+func closeBody(resp *http.Response) {
+	io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
+	resp.Body.Close()
 }

@@ -30,13 +30,13 @@ package cluster
 import (
 	"fmt"
 	"net/http"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/dwarf"
 	"repro/internal/query"
+	"repro/internal/serve"
 )
 
 // Defaults for Options.
@@ -45,6 +45,11 @@ const (
 	DefaultRetries = 2
 	DefaultBackoff = 50 * time.Millisecond
 )
+
+// idleConnsPerHost is how many idle connections the default client keeps
+// per node. net/http's default of 2 would close and redial a node's
+// connections whenever more than two queries to it are in flight.
+const idleConnsPerHost = 64
 
 // Options configures a Coordinator.
 type Options struct {
@@ -70,7 +75,8 @@ type Options struct {
 	// (DefaultBackoff when 0).
 	Backoff time.Duration
 	// Client is the HTTP client used for every node call. Defaults to a
-	// dedicated client; Timeout is applied per request regardless.
+	// dedicated client whose transport keeps idleConnsPerHost idle
+	// connections per node; Timeout is applied per request regardless.
 	Client *http.Client
 }
 
@@ -116,14 +122,14 @@ func New(opts Options) (*Coordinator, error) {
 	}
 	client := opts.Client
 	if client == nil {
-		client = &http.Client{}
+		t := http.DefaultTransport.(*http.Transport).Clone()
+		t.MaxIdleConns = 0 // no total cap: the per-node one bounds it
+		t.MaxIdleConnsPerHost = idleConnsPerHost
+		client = &http.Client{Transport: t}
 	}
 	c := &Coordinator{dims: append([]string(nil), opts.Dims...), live: live}
 	for _, u := range opts.Nodes {
-		c.nodes = append(c.nodes, &node{
-			base: strings.TrimRight(u, "/"), client: client,
-			timeout: timeout, retries: retries, backoff: backoff,
-		})
+		c.nodes = append(c.nodes, newNode(u, client, timeout, retries, backoff))
 	}
 	return c, nil
 }
@@ -146,10 +152,7 @@ func (c *Coordinator) SetNode(i int, baseURL string) error {
 		return fmt.Errorf("cluster: node index %d out of range [0,%d)", i, len(c.nodes))
 	}
 	old := c.nodes[i]
-	c.nodes[i] = &node{
-		base: strings.TrimRight(baseURL, "/"), client: old.client,
-		timeout: old.timeout, retries: old.retries, backoff: old.backoff,
-	}
+	c.nodes[i] = newNode(baseURL, old.client, old.timeout, old.retries, old.backoff)
 	return nil
 }
 
@@ -186,18 +189,22 @@ func (e *scatterError) Error() string {
 }
 
 // scatter runs fn against every node concurrently and returns the per-node
-// results in node order plus every failure. Callers enforce the strict
-// failure policy with strictErr.
+// results in node order plus every failure. The first node's call runs on
+// the calling goroutine, so a routed point starts no goroutine at all.
+// Callers enforce the strict failure policy with strictErr.
 func scatter[T any](nodes []*node, fn func(n *node) (T, error)) ([]T, []*NodeError) {
 	parts := make([]T, len(nodes))
 	errs := make([]error, len(nodes))
 	var wg sync.WaitGroup
-	for i, n := range nodes {
+	for i := 1; i < len(nodes); i++ {
 		wg.Add(1)
-		go func(i int, n *node) {
+		go func(i int) {
 			defer wg.Done()
-			parts[i], errs[i] = fn(n)
-		}(i, n)
+			parts[i], errs[i] = fn(nodes[i])
+		}(i)
+	}
+	if len(nodes) > 0 {
+		parts[0], errs[0] = fn(nodes[0])
 	}
 	wg.Wait()
 	var failed []*NodeError
@@ -251,8 +258,9 @@ func (c *Coordinator) Point(keys ...string) (dwarf.Aggregate, error) {
 	if i, ok := c.pointOwner(keys, len(nodes)); ok {
 		nodes = nodes[i : i+1]
 	}
+	body := serve.AppendPartialRequest(nil, &serve.PartialRequest{Shape: serve.PartialPoint, Cube: c.live, Keys: keys})
 	parts, failed := scatter(nodes, func(n *node) (dwarf.Aggregate, error) {
-		return n.partialAgg(partialReq{Shape: "point", Cube: c.live, Keys: keys})
+		return partial(n, body, serve.DecodePartialAgg)
 	})
 	if err := strictErr(len(nodes), failed); err != nil {
 		return dwarf.Aggregate{}, err
@@ -287,9 +295,9 @@ func (c *Coordinator) Range(sels []dwarf.Selector) (dwarf.Aggregate, error) {
 		return dwarf.Aggregate{}, err
 	}
 	nodes := c.snapshot()
-	req := partialReq{Shape: "range", Cube: c.live, Selectors: wireSelectors(sels)}
+	body := serve.AppendPartialRequest(nil, &serve.PartialRequest{Shape: serve.PartialRange, Cube: c.live, Sels: sels})
 	parts, failed := scatter(nodes, func(n *node) (dwarf.Aggregate, error) {
-		return n.partialAgg(req)
+		return partial(n, body, serve.DecodePartialAgg)
 	})
 	if err := strictErr(len(nodes), failed); err != nil {
 		return dwarf.Aggregate{}, err
@@ -298,7 +306,9 @@ func (c *Coordinator) Range(sels []dwarf.Selector) (dwarf.Aggregate, error) {
 }
 
 // GroupBy groups the dimension at index dim across the cluster: full
-// per-node group maps merged with the kernel's map merge.
+// per-node group maps merged with the kernel's map merge. The first
+// node's decoded map is the merge target: merging into an empty map would
+// copy it unchanged (MergeAggregates(zero, a) == a).
 func (c *Coordinator) GroupBy(dim int, sels []dwarf.Selector) (map[string]dwarf.Aggregate, error) {
 	if err := c.checkDim(dim); err != nil {
 		return nil, err
@@ -307,17 +317,16 @@ func (c *Coordinator) GroupBy(dim int, sels []dwarf.Selector) (map[string]dwarf.
 		return nil, err
 	}
 	nodes := c.snapshot()
-	req := partialReq{
-		Shape: "groupby", Cube: c.live,
-		Dim: strconv.Itoa(dim), Selectors: wireSelectors(sels),
-	}
+	body := serve.AppendPartialRequest(nil, &serve.PartialRequest{
+		Shape: serve.PartialGroupBy, Cube: c.live, Dims: []int{dim}, Sels: sels,
+	})
 	parts, failed := scatter(nodes, func(n *node) (map[string]dwarf.Aggregate, error) {
-		return n.partialGroups(req)
+		return partial(n, body, serve.DecodePartialGroups)
 	})
 	if err := strictErr(len(nodes), failed); err != nil {
 		return nil, err
 	}
-	return dwarf.MergeGroupMaps(make(map[string]dwarf.Aggregate), parts...), nil
+	return dwarf.MergeGroupMaps(parts[0], parts[1:]...), nil
 }
 
 // Pivot is the multi-dimension GroupBy across the cluster, returning
@@ -340,13 +349,9 @@ func (c *Coordinator) Pivot(dims []int, sels []dwarf.Selector) ([]dwarf.PivotGro
 		grouped[d] = true
 	}
 	nodes := c.snapshot()
-	wdims := make([]string, len(dims))
-	for i, d := range dims {
-		wdims[i] = strconv.Itoa(d)
-	}
-	req := partialReq{Shape: "pivot", Cube: c.live, Dims: wdims, Selectors: wireSelectors(sels)}
+	body := serve.AppendPartialRequest(nil, &serve.PartialRequest{Shape: serve.PartialPivot, Cube: c.live, Dims: dims, Sels: sels})
 	parts, failed := scatter(nodes, func(n *node) ([]dwarf.PivotGroup, error) {
-		return n.partialRows(req)
+		return partial(n, body, serve.DecodePartialRows)
 	})
 	if err := strictErr(len(nodes), failed); err != nil {
 		return nil, err
@@ -424,25 +429,6 @@ func mergeAggs(parts []dwarf.Aggregate) dwarf.Aggregate {
 	var out dwarf.Aggregate
 	for _, a := range parts {
 		out = dwarf.MergeAggregates(out, a)
-	}
-	return out
-}
-
-// wireSelectors converts kernel selectors to the serve wire form,
-// preserving the HasRange-over-Keys precedence.
-func wireSelectors(sels []dwarf.Selector) []wireSelector {
-	if len(sels) == 0 {
-		return nil
-	}
-	out := make([]wireSelector, len(sels))
-	for i := range sels {
-		switch {
-		case sels[i].HasRange:
-			lo, hi := sels[i].Lo, sels[i].Hi
-			out[i] = wireSelector{Lo: &lo, Hi: &hi}
-		case len(sels[i].Keys) > 0:
-			out[i] = wireSelector{Keys: sels[i].Keys}
-		}
 	}
 	return out
 }

@@ -2,10 +2,13 @@ package cluster
 
 import (
 	"fmt"
+	"math"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -248,6 +251,18 @@ func TestClusterMatchesUnionStore(t *testing.T) {
 	// A second batch after the first answers: re-converges.
 	tc.load(t, testTuples(77)[30:])
 	assertIdentical(t, tc.coord, tc.union)
+
+	// Overflowed partials: four MaxFloat64 measures on one cell sum to +Inf
+	// on the node that owns it. The merged answers must carry that +Inf as
+	// the union store does, not drop the node's partial and answer from
+	// the other nodes alone.
+	ov := newTestCluster(t, 3, Options{})
+	overflow := []dwarf.Tuple{{Dims: []string{"d1", "south", "air"}, Measure: 3}}
+	for i := 0; i < 4; i++ {
+		overflow = append(overflow, dwarf.Tuple{Dims: []string{"d0", "north", "bike"}, Measure: math.MaxFloat64})
+	}
+	ov.load(t, overflow)
+	assertIdentical(t, ov.coord, ov.union)
 }
 
 // TestClusterSingleNode pins the degenerate cluster: one node behaves like
@@ -408,7 +423,8 @@ func TestRetryRecoversTransientFailure(t *testing.T) {
 			http.Error(w, `{"error":"transient"}`, http.StatusInternalServerError)
 			return
 		}
-		w.Write([]byte(`{"generation":1,"aggregate":{"sum":5,"count":1,"min":5,"max":5,"avg":5}}`))
+		w.Header().Set("Content-Type", serve.PartialContentType)
+		w.Write(serve.AppendPartialAgg(nil, 1, dwarf.Aggregate{Sum: 5, Count: 1, Min: 5, Max: 5}))
 	}))
 	defer flaky.Close()
 
@@ -447,6 +463,51 @@ func TestRetryRecoversTransientFailure(t *testing.T) {
 	}
 	if calls != 1 {
 		t.Fatalf("%d calls on a 400, want 1 (no retry of client errors)", calls)
+	}
+
+	// A 200 the coordinator cannot read fails the query with an error
+	// naming the node, never with a total, and is not retried: the node
+	// would answer the same way again.
+	aggBody := serve.AppendPartialAgg(nil, 1, dwarf.Aggregate{Sum: 5, Count: 1, Min: 5, Max: 5})
+	groups := serve.AppendPartialGroups(nil, 1, map[string]dwarf.Aggregate{
+		"d0": {Sum: 5, Count: 1, Min: 5, Max: 5},
+		"d1": {Sum: 7, Count: 2, Min: 3, Max: 4},
+	})
+	unreadable := []struct {
+		name, contentType string
+		body              []byte
+		query             func(*Coordinator) (any, error)
+	}{
+		{"valid partial of the wrong Content-Type", "application/json", aggBody,
+			func(c *Coordinator) (any, error) { return c.Point("a", "b", "c") }},
+		{"truncated point partial", serve.PartialContentType, aggBody[:10],
+			func(c *Coordinator) (any, error) { return c.Point("a", "b", "c") }},
+		{"truncated groupby partial", serve.PartialContentType, groups[:len(groups)-1],
+			func(c *Coordinator) (any, error) { return c.GroupBy(0, allSels()) }},
+	}
+	for _, u := range unreadable {
+		calls = 0
+		bad := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			calls++
+			w.Header().Set("Content-Type", u.contentType)
+			w.Write(u.body)
+		}))
+		coord3, err := New(Options{Nodes: []string{bad.URL}, Dims: testDims, Retries: 2, Backoff: time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := u.query(coord3)
+		bad.Close()
+		var se *scatterError
+		if !asScatter(err, &se) || len(se.failed) != 1 || se.failed[0].Node != bad.URL {
+			t.Fatalf("%s: want a NodeError naming %s, got %v", u.name, bad.URL, err)
+		}
+		if !reflect.ValueOf(res).IsZero() {
+			t.Fatalf("%s: failed query still yielded %v", u.name, res)
+		}
+		if calls != 1 {
+			t.Fatalf("%s: %d calls, want 1 (no retry of an unreadable 200)", u.name, calls)
+		}
 	}
 }
 
@@ -683,5 +744,86 @@ func TestPointRoutesToSingleNode(t *testing.T) {
 			t.Fatalf("wildcard point %v made %d requests to nodes %v, want all %d",
 				keys, total, asked, k)
 		}
+	}
+}
+
+// TestDefaultClientKeepsNodeConnections pins the default coordinator
+// transport: once a warm-up batch has opened them, node connections stay
+// pooled, so further batches of 8 concurrent GroupBys open none. (With
+// net/http's default of 2 idle connections per host, every batch would
+// close and redial most of them.) During the warm-up each node holds its
+// partial requests until all 8 have arrived, so the warm-up opens exactly
+// the 8 connections per node a batch can use, each accepted before the
+// batch ends.
+func TestDefaultClientKeepsNodeConnections(t *testing.T) {
+	const batchSize = 8
+	var opened atomic.Int64
+	var warming atomic.Bool
+	urls := make([]string, 3)
+	for i := range urls {
+		st, err := cubestore.Open(t.TempDir(), cubestore.Options{Dims: testDims, SealTuples: 16})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, err := serve.New(serve.Options{Store: st, ClusterNode: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := srv.Handler()
+		var gate sync.WaitGroup
+		gate.Add(batchSize)
+		hs := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/query/partial" && warming.Load() {
+				gate.Done()
+				gate.Wait()
+			}
+			h.ServeHTTP(w, r)
+		}))
+		hs.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+			if s == http.StateNew {
+				opened.Add(1)
+			}
+		}
+		hs.Start()
+		t.Cleanup(func() {
+			hs.Close()
+			st.Close()
+		})
+		urls[i] = hs.URL
+	}
+	coord, err := New(Options{Nodes: urls, Dims: testDims})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := coord.Append(testTuples(200)); err != nil {
+		t.Fatal(err)
+	}
+	batch := func() {
+		t.Helper()
+		var wg sync.WaitGroup
+		errs := make([]error, batchSize)
+		for i := range errs {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				_, errs[i] = coord.GroupBy(i%len(testDims), allSels())
+			}(i)
+		}
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	warming.Store(true)
+	batch()
+	warming.Store(false)
+	warm := opened.Load()
+	for i := 0; i < 5; i++ {
+		batch()
+	}
+	if got := opened.Load() - warm; got != 0 {
+		t.Fatalf("%d node connections opened after warm-up (%d during it), want 0", got, warm)
 	}
 }

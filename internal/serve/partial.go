@@ -1,12 +1,11 @@
 package serve
 
 import (
+	"fmt"
 	"net/http"
-
-	"repro/internal/dwarf"
 )
 
-// POST /query/partial is the cluster-node wire format (Options.ClusterNode):
+// POST /query/partial is the cluster-node endpoint (Options.ClusterNode):
 // one request per query shape, answered UNPAGED with the node's raw partial
 // result plus the store generation it was computed at. The coordinator
 // (internal/cluster) merges these exactly as the store merges its own
@@ -14,37 +13,47 @@ import (
 // the kernel's merge helpers, TopK from full group maps before the cut
 // (which is why TopK has no partial shape of its own: a per-node K cut
 // could misrank keys split across nodes, so the coordinator asks every
-// node for the full "groupby" map instead).
+// node for the full groupby map instead).
 //
-// Responses reuse the zero-alloc append encoders. Group maps stream in map
-// iteration order — the coordinator folds them into its own map, so no
-// order is promised on this wire (unlike the paged client endpoints).
-
-// partialRequest is the body of /query/partial. Shape selects the query;
-// the other fields mirror the corresponding /query/* request.
-type partialRequest struct {
-	Shape     string         `json:"shape"`
-	Cube      string         `json:"cube"`
-	Keys      []string       `json:"keys,omitempty"`      // point
-	Dim       string         `json:"dim,omitempty"`       // groupby
-	Dims      []string       `json:"dims,omitempty"`      // pivot
-	Selectors []selectorSpec `json:"selectors,omitempty"` // range/groupby/pivot
-}
+// Request and 200 response bodies are the binary partial wire
+// (partialwire.go, Content-Type PartialContentType); errors are the usual
+// JSON error envelope.
 
 func (s *Server) handlePartial(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		s.fail(w, badRequest("POST a JSON body to /query/partial"))
+		s.fail(w, badRequest("POST a %s body to /query/partial", PartialContentType))
 		return
 	}
-	var req partialRequest
-	if err := decodeBody(w, r, &req, maxQueryBodyBytes); err != nil {
+	if ct := r.Header.Get("Content-Type"); ct != PartialContentType {
+		s.fail(w, &httpError{
+			status: http.StatusUnsupportedMediaType,
+			msg:    fmt.Sprintf("/query/partial takes Content-Type %s, got %q", PartialContentType, ct),
+		})
+		return
+	}
+	buf := getBuf()
+	err := readBody(w, r, buf, maxQueryBodyBytes)
+	if err == nil {
+		var req PartialRequest
+		if req, err = parsePartialRequest(*buf); err != nil {
+			err = badRequest("bad request body: %v", err)
+		} else {
+			err = s.answerPartial(&req, buf)
+		}
+	}
+	if err != nil {
+		putBuf(buf)
 		s.fail(w, err)
 		return
 	}
+	sendAs(w, http.StatusOK, partialContentType, buf)
+}
+
+// answerPartial runs req and encodes its partial into buf.
+func (s *Server) answerPartial(req *PartialRequest, buf *[]byte) error {
 	v, err := s.source(req.Cube)
 	if err != nil {
-		s.fail(w, err)
-		return
+		return err
 	}
 	// The generation is read BEFORE the query, like the store's own cache
 	// stamps: a write racing the query leaves the stamp older than the
@@ -54,122 +63,36 @@ func (s *Server) handlePartial(w http.ResponseWriter, r *http.Request) {
 	if s.local != nil && s.isLive(req.Cube) {
 		gen = s.local.Generation()
 	}
-	buf := getBuf()
 	switch req.Shape {
-	case "point":
+	case PartialPoint:
 		agg, err := v.Point(req.Keys...)
 		if err != nil {
-			putBuf(buf)
-			s.fail(w, err)
-			return
+			return err
 		}
-		*buf = appendPartialAggResponse((*buf)[:0], gen, agg)
-	case "range":
-		sels, err := selectors(req.Selectors, v.NumDims())
-		if err == nil {
-			var agg dwarf.Aggregate
-			if agg, err = v.Range(sels); err == nil {
-				*buf = appendPartialAggResponse((*buf)[:0], gen, agg)
-			}
-		}
+		*buf = AppendPartialAgg((*buf)[:0], gen, agg)
+	case PartialRange:
+		agg, err := v.Range(req.Sels)
 		if err != nil {
-			putBuf(buf)
-			s.fail(w, err)
-			return
+			return err
 		}
-	case "groupby":
-		dim, err := dimIndex(v, req.Dim)
-		var groups map[string]dwarf.Aggregate
-		if err == nil {
-			var sels []dwarf.Selector
-			if sels, err = selectors(req.Selectors, v.NumDims()); err == nil {
-				groups, err = v.GroupBy(dim, sels)
-			}
+		*buf = AppendPartialAgg((*buf)[:0], gen, agg)
+	case PartialGroupBy:
+		if len(req.Dims) != 1 {
+			return badRequest("a groupby partial names 1 dimension, got %d", len(req.Dims))
 		}
+		groups, err := v.GroupBy(req.Dims[0], req.Sels)
 		if err != nil {
-			putBuf(buf)
-			s.fail(w, err)
-			return
+			return err
 		}
-		*buf = appendPartialGroupsResponse((*buf)[:0], gen, groups)
-	case "pivot":
-		dims := make([]int, len(req.Dims))
-		var err error
-		for i, d := range req.Dims {
-			if dims[i], err = dimIndex(v, d); err != nil {
-				break
-			}
-		}
-		var rows []dwarf.PivotGroup
-		if err == nil {
-			var sels []dwarf.Selector
-			if sels, err = selectors(req.Selectors, v.NumDims()); err == nil {
-				rows, err = v.Pivot(dims, sels)
-			}
-		}
+		*buf = AppendPartialGroups((*buf)[:0], gen, groups)
+	case PartialPivot:
+		rows, err := v.Pivot(req.Dims, req.Sels)
 		if err != nil {
-			putBuf(buf)
-			s.fail(w, err)
-			return
+			return err
 		}
-		*buf = appendPartialRowsResponse((*buf)[:0], gen, rows)
+		*buf = AppendPartialRows((*buf)[:0], gen, rows)
 	default:
-		putBuf(buf)
-		s.fail(w, badRequest("unknown partial shape %q (want point, range, groupby or pivot)", req.Shape))
-		return
+		return badRequest("unknown partial shape %d (want point 1, range 2, groupby 3 or pivot 4)", req.Shape)
 	}
-	send(w, http.StatusOK, buf)
-}
-
-// appendPartialAggResponse emits the point/range partial envelope.
-func appendPartialAggResponse(buf []byte, gen uint64, agg dwarf.Aggregate) []byte {
-	w := jw{buf: buf}
-	w.open('{')
-	w.key("generation")
-	w.uint(gen)
-	w.key("aggregate")
-	w.agg(agg)
-	w.close('}')
-	return w.done()
-}
-
-// appendPartialGroupsResponse emits the groupby partial envelope: the full
-// unpaged group map, streamed in map iteration order.
-func appendPartialGroupsResponse(buf []byte, gen uint64, groups map[string]dwarf.Aggregate) []byte {
-	w := jw{buf: buf}
-	w.open('{')
-	w.key("generation")
-	w.uint(gen)
-	w.key("groups")
-	w.open('{')
-	for k, a := range groups {
-		w.key2(k)
-		w.agg(a)
-	}
-	w.close('}')
-	w.close('}')
-	return w.done()
-}
-
-// appendPartialRowsResponse emits the pivot partial envelope: the full
-// unpaged sorted rows.
-func appendPartialRowsResponse(buf []byte, gen uint64, rows []dwarf.PivotGroup) []byte {
-	w := jw{buf: buf}
-	w.open('{')
-	w.key("generation")
-	w.uint(gen)
-	w.key("rows")
-	w.open('[')
-	for i := range rows {
-		w.member()
-		w.open('{')
-		w.key("keys")
-		w.strs(rows[i].Keys)
-		w.key("aggregate")
-		w.agg(rows[i].Agg)
-		w.close('}')
-	}
-	w.close(']')
-	w.close('}')
-	return w.done()
+	return nil
 }

@@ -63,6 +63,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/url"
 	"os"
@@ -114,11 +115,14 @@ type Options struct {
 	// GroupLimit caps the groups per keyed-query response
 	// (DefaultGroupLimit when zero).
 	GroupLimit int
-	// ClusterNode additionally mounts POST /query/partial — the compact,
-	// unpaged per-node wire format a cluster coordinator scatter-gathers
-	// over (internal/cluster, docs/CLUSTER.md). Off by default: partial
-	// responses carry full group maps with no paging cap, so the endpoint
-	// is only for dwarfd processes fronted by a coordinator.
+	// ClusterNode additionally mounts POST /query/partial — the unpaged
+	// per-node answers a cluster coordinator scatter-gathers over
+	// (internal/cluster, docs/CLUSTER.md), in the binary partial wire of
+	// partialwire.go: both bodies are Content-Type PartialContentType,
+	// checked on each side, and every float crosses bit-exact. Off by
+	// default: partial responses carry full group maps with no paging cap,
+	// so the endpoint is only for dwarfd processes fronted by a
+	// coordinator.
 	ClusterNode bool
 	// TimeDim, when set, names the dimension a request's "window" parameter
 	// compiles against: window "24h" becomes an inclusive range selector
@@ -346,10 +350,16 @@ func (s *Server) fail(w http.ResponseWriter, err error) {
 // slice is never mutated.
 var jsonContentType = []string{"application/json"}
 
-// send writes one fully-encoded response body and recycles its buffer.
+// send writes one fully-encoded JSON response body and recycles its
+// buffer.
 func send(w http.ResponseWriter, status int, buf *[]byte) {
+	sendAs(w, status, jsonContentType, buf)
+}
+
+// sendAs is send with the given Content-Type header value.
+func sendAs(w http.ResponseWriter, status int, contentType []string, buf *[]byte) {
 	h := w.Header()
-	h["Content-Type"] = jsonContentType
+	h["Content-Type"] = contentType
 	h.Set("Content-Length", strconv.Itoa(len(*buf)))
 	w.WriteHeader(status)
 	w.Write(*buf)
@@ -551,16 +561,45 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any, limit int64) erro
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			return &httpError{
-				status: http.StatusRequestEntityTooLarge,
-				msg:    fmt.Sprintf("request body exceeds %d bytes", mbe.Limit),
-			}
-		}
-		return badRequest("bad request body: %v", err)
+		return bodyErr(err)
 	}
 	return nil
+}
+
+// readBody reads a bounded request body into buf, with decodeBody's
+// statuses.
+func readBody(w http.ResponseWriter, r *http.Request, buf *[]byte, limit int64) error {
+	body := http.MaxBytesReader(w, r.Body, limit)
+	b := (*buf)[:0]
+	for {
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+		n, err := body.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			*buf = b
+			return bodyErr(err)
+		}
+	}
+	*buf = b
+	return nil
+}
+
+// bodyErr maps a request body read failure: over the limit is 413,
+// anything else 400.
+func bodyErr(err error) error {
+	var mbe *http.MaxBytesError
+	if errors.As(err, &mbe) {
+		return &httpError{
+			status: http.StatusRequestEntityTooLarge,
+			msg:    fmt.Sprintf("request body exceeds %d bytes", mbe.Limit),
+		}
+	}
+	return badRequest("bad request body: %v", err)
 }
 
 // cubeInfo is one registry row in the /cubes response.
