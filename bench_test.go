@@ -146,22 +146,49 @@ func BenchmarkBaoComparison(b *testing.B) {
 }
 
 // BenchmarkCubeConstruction isolates DWARF build cost per dataset scale.
+// Each preset's own row is the bare New; new+encode is what writing a fresh
+// build to a file costs through the node graph, and indexed is the
+// streaming constructor that writes the same bytes directly.
 func BenchmarkCubeConstruction(b *testing.B) {
 	b.ReportAllocs()
 	for _, preset := range benchPresets {
+		tuples, err := bench.DatasetTuples(preset)
+		if err != nil {
+			b.Fatal(err)
+		}
 		b.Run(preset, func(b *testing.B) {
 			b.ReportAllocs()
-			tuples, err := bench.DatasetTuples(preset)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := dwarf.New(smartcity.BikeDims, tuples); err != nil {
 					b.Fatal(err)
 				}
 			}
 			b.ReportMetric(float64(len(tuples)), "tuples")
+		})
+		b.Run(preset+"/new+encode", func(b *testing.B) {
+			b.ReportAllocs()
+			var buf bytes.Buffer
+			for i := 0; i < b.N; i++ {
+				cube, err := dwarf.New(smartcity.BikeDims, tuples)
+				if err != nil {
+					b.Fatal(err)
+				}
+				buf.Reset()
+				if err := cube.EncodeIndexed(&buf); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(buf.Len()), "bytes")
+		})
+		b.Run(preset+"/indexed", func(b *testing.B) {
+			b.ReportAllocs()
+			var out []byte
+			for i := 0; i < b.N; i++ {
+				if out, err = dwarf.BuildIndexed(smartcity.BikeDims, tuples); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(len(out)), "bytes")
 		})
 	}
 }

@@ -92,6 +92,66 @@ func TestStoreSealBuildsOnce(t *testing.T) {
 	}
 }
 
+// TestStoreFoldedSealCanonical: a memtable that queries folded after
+// every batch (MergeAll into the standing cube each time) still seals into
+// the batch build's canonical bytes, not the larger encoding of the folded
+// cube. Integer measures keep the folded sums exact; 100 keys a dimension
+// make the folded cube miss sharing a batch build finds (over 24 keys the
+// two happen to encode alike).
+func TestStoreFoldedSealCanonical(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Options{
+		Dims:               testDims,
+		SealTuples:         1 << 30, // manual seals only
+		DisableAutoCompact: true,
+		NoSync:             true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	rng := rand.New(rand.NewSource(61))
+	var all []dwarf.Tuple
+	for b := 0; b < 400; b++ {
+		batch := make([]dwarf.Tuple, 20)
+		for i := range batch {
+			batch[i] = dwarf.Tuple{
+				Dims:    []string{dimKey(0, rng.Intn(100)), dimKey(1, rng.Intn(100)), dimKey(2, rng.Intn(100))},
+				Measure: float64(rng.Intn(9) + 1),
+			}
+		}
+		if err := s.Append(batch); err != nil {
+			t.Fatal(err)
+		}
+		all = append(all, batch...)
+		if _, err := s.GroupBy(0, make([]dwarf.Selector, len(testDims))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	st := s.Stats()
+	if len(st.Segments) != 1 {
+		t.Fatalf("want one sealed segment, have %+v", st.Segments)
+	}
+	got, err := os.ReadFile(filepath.Join(dir, st.Segments[0].File))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := dwarf.New(testDims, all)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := ref.EncodeIndexed(&want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("folded memtable sealed into %d bytes, the batch build encodes to %d", len(got), want.Len())
+	}
+}
+
 // TestStoreSealedMemtableReleased: once a frozen memtable is sealed and no
 // snapshot lists it, nothing may keep it reachable — in particular not the
 // frozen queue's backing array after the pop.

@@ -313,7 +313,7 @@ func (s *Store) swapRollup(spec rollupSpec, segs []*segment, cover []string) err
 	for i := range rows {
 		tuples[i] = dwarf.AggTuple{Dims: rows[i].Keys, Agg: rows[i].Agg}
 	}
-	cube, err := dwarf.NewFromAggregates(spec.names, tuples, s.opts.cubeOptions()...)
+	data, err := dwarf.BuildIndexedFromAggregates(spec.names, tuples, s.opts.cubeOptions()...)
 	if err != nil {
 		return err
 	}
@@ -330,7 +330,7 @@ func (s *Store) swapRollup(spec rollupSpec, segs []*segment, cover []string) err
 	s.man.NextSegID++
 	s.mu.Unlock()
 	name := rollupFileName(id)
-	f, err := s.writeCubeFile("rollup", name, cube.EncodeIndexed)
+	f, err := s.writeCubeFile("rollup", name, writeBytes(data))
 	if err != nil {
 		return err
 	}

@@ -8,7 +8,7 @@
 // reaches a size or age threshold it is frozen: a fresh memtable and a
 // rotated WAL generation are swapped in atomically and the frozen
 // (memtable, generation) pair is handed to a background sealer that builds
-// and encodes it into an immutable v2 cube segment file and drops the
+// it straight into an immutable v2 cube segment file and drops the
 // covered WAL generations; a background compactor merges small sealed
 // segments into larger ones with dwarf.MergeViews, leveled by tuple count,
 // committing each transition by atomically swapping the segment manifest.
@@ -170,14 +170,21 @@ type storeState struct {
 
 // Store is a WAL-backed live cube store. All methods are safe for
 // concurrent use. Queries never take the store's writer lock — they read
-// an atomic snapshot. Appends only buffer tuples in the memtable; its cube
-// is built by the first query that reads it or, when no query does, once
-// by the sealer. So a query that finds unfolded memtable tuples folds them
-// itself, and in the worst case (a full memtable no query has read yet) it
-// waits for one build of at most SealTuples tuples — about 0.13 s for
-// 16,384 bike tuples at ~8 µs a tuple. Concurrent queries and the seal of
-// that memtable wait for the same build instead of repeating it; appends
-// and compactions never wait for a query's build.
+// an atomic snapshot. Appends only buffer tuples in the memtable, and a
+// query that finds unfolded memtable tuples folds them into a *Cube itself
+// (dwarf.New, plus MergeAll into what earlier queries folded); concurrent
+// queries wait for the same fold instead of repeating it. In the worst case
+// (a full memtable no query has read yet) a query waits for one build of at
+// most SealTuples tuples — about 0.13 s for 16,384 bike tuples at ~8 µs a
+// tuple. With default options the sealer never builds a *Cube: it writes
+// the segment with Incremental.IndexedBytes, which builds the unfolded
+// tuples straight to bytes (dwarf.BuildIndexed) and merges a folded
+// standing cube in with dwarf.MergeViews. So a query that reaches a
+// never-read frozen memtable while it seals does its own fold, bounded by
+// one seal's tuples, rather than sharing the sealer's. Rollups are built
+// with dwarf.BuildIndexedFromAggregates too. With Workers > 1 or ablation
+// CubeOptions both builds stay on the node path (New, then EncodeIndexed).
+// Appends and compactions never wait for a query's build.
 //
 // Appends do not take mu either: they enqueue onto the commit queue and a
 // single committer goroutine holds mu across each group commit. Only the
@@ -961,7 +968,7 @@ func (s *Store) drainFrozen() (int, error) {
 // committed, so any earlier error leaves a consistent store with the entry
 // still frozen and still WAL-covered.
 func (s *Store) sealFrozen(fz *frozenMem) error {
-	cube, err := fz.mem.Cube()
+	data, err := fz.mem.IndexedBytes()
 	if err != nil {
 		return err
 	}
@@ -979,7 +986,7 @@ func (s *Store) sealFrozen(fz *frozenMem) error {
 	id := s.man.NextSegID
 	s.man.NextSegID++
 	s.mu.Unlock()
-	seg, err := s.writeSegment(segFileName(id), fz.count, cube.EncodeIndexed)
+	seg, err := s.writeSegment(segFileName(id), fz.count, writeBytes(data))
 	if err != nil {
 		return err
 	}
@@ -1091,6 +1098,14 @@ func (s *Store) writeSegment(name string, tuples int, encode func(io.Writer) err
 		meta: segmentMeta{File: name, Tuples: tuples, Zones: zones},
 		file: f, view: f.vf.CubeView, zones: zones,
 	}, nil
+}
+
+// writeBytes adapts an already-encoded cube to writeSegment's encode.
+func writeBytes(data []byte) func(io.Writer) error {
+	return func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	}
 }
 
 // background runs age-based seals and auto-compaction until Close.

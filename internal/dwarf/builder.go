@@ -6,7 +6,8 @@ import (
 	"fmt"
 	"hash/maphash"
 	"math"
-	"sort"
+	"slices"
+	"strings"
 )
 
 // Tuple is one fact: a key per dimension plus the measure, the shape the
@@ -106,12 +107,9 @@ func ValidateTuple(t Tuple, ndims int) error {
 // not modified; tuples are copied and sorted internally. Duplicate dimension
 // key combinations are merged into one leaf aggregate.
 func New(dims []string, tuples []Tuple, opts ...Option) (*Cube, error) {
-	ats := make([]AggTuple, len(tuples))
-	for i := range tuples {
-		if err := ValidateTuple(tuples[i], len(dims)); err != nil {
-			return nil, fmt.Errorf("tuple %d: %w", i, err)
-		}
-		ats[i] = AggTuple{Dims: tuples[i].Dims, Agg: NewAggregate(tuples[i].Measure)}
+	ats, err := aggTuples(dims, tuples)
+	if err != nil {
+		return nil, err
 	}
 	c, err := NewFromAggregates(dims, ats, opts...)
 	if err != nil {
@@ -119,6 +117,42 @@ func New(dims []string, tuples []Tuple, opts ...Option) (*Cube, error) {
 	}
 	c.numTuples = len(tuples)
 	return c, nil
+}
+
+// aggTuples validates raw facts with New's rules and lifts each measure to
+// its single-value aggregate.
+func aggTuples(dims []string, tuples []Tuple) ([]AggTuple, error) {
+	ats := make([]AggTuple, len(tuples))
+	for i := range tuples {
+		if err := ValidateTuple(tuples[i], len(dims)); err != nil {
+			return nil, fmt.Errorf("tuple %d: %w", i, err)
+		}
+		ats[i] = AggTuple{Dims: tuples[i].Dims, Agg: NewAggregate(tuples[i].Measure)}
+	}
+	return ats, nil
+}
+
+// validateAggTuples checks pre-aggregated facts against the cube's
+// dimensions and returns their source tuple count, the sum of the
+// aggregate counts.
+func validateAggTuples(dims []string, tuples []AggTuple) (int, error) {
+	if len(dims) == 0 {
+		return 0, ErrNoDimensions
+	}
+	numTuples := 0
+	for i := range tuples {
+		if len(tuples[i].Dims) != len(dims) {
+			return 0, fmt.Errorf("%w: tuple %d has %d dims, cube has %d",
+				ErrDimMismatch, i, len(tuples[i].Dims), len(dims))
+		}
+		for _, k := range tuples[i].Dims {
+			if k == All {
+				return 0, fmt.Errorf("%w: %q in tuple %d", ErrReservedKey, All, i)
+			}
+		}
+		numTuples += int(tuples[i].Agg.Count)
+	}
+	return numTuples, nil
 }
 
 // AggTuple is a fact carrying full aggregate state instead of a raw
@@ -132,25 +166,13 @@ type AggTuple struct {
 // NewFromAggregates constructs a cube from pre-aggregated facts. The source
 // tuple count is the sum of the aggregate counts.
 func NewFromAggregates(dims []string, tuples []AggTuple, opts ...Option) (*Cube, error) {
-	if len(dims) == 0 {
-		return nil, ErrNoDimensions
+	numTuples, err := validateAggTuples(dims, tuples)
+	if err != nil {
+		return nil, err
 	}
 	var o Options
 	for _, fn := range opts {
 		fn(&o)
-	}
-	numTuples := 0
-	for i := range tuples {
-		if len(tuples[i].Dims) != len(dims) {
-			return nil, fmt.Errorf("%w: tuple %d has %d dims, cube has %d",
-				ErrDimMismatch, i, len(tuples[i].Dims), len(dims))
-		}
-		for _, k := range tuples[i].Dims {
-			if k == All {
-				return nil, fmt.Errorf("%w: %q in tuple %d", ErrReservedKey, All, i)
-			}
-		}
-		numTuples += int(tuples[i].Agg.Count)
 	}
 
 	var root *Node
@@ -219,8 +241,8 @@ func (b *builder) newNode(level int) *Node {
 func sortTuples(tuples []AggTuple) []AggTuple {
 	sorted := make([]AggTuple, len(tuples))
 	copy(sorted, tuples)
-	sort.SliceStable(sorted, func(i, j int) bool {
-		return lessDims(sorted[i].Dims, sorted[j].Dims)
+	slices.SortStableFunc(sorted, func(a, b AggTuple) int {
+		return compareDims(a.Dims, b.Dims)
 	})
 	return sorted
 }
@@ -578,6 +600,16 @@ func dropNil(nodes []*Node) []*Node {
 		}
 	}
 	return out
+}
+
+// compareDims orders key tuples lexicographically, dimension by dimension.
+func compareDims(a, b []string) int {
+	for i := 0; i < len(a) && i < len(b); i++ {
+		if c := strings.Compare(a[i], b[i]); c != 0 {
+			return c
+		}
+	}
+	return len(a) - len(b)
 }
 
 func lessDims(a, b []string) bool {

@@ -1,0 +1,147 @@
+package dwarf
+
+import "unsafe"
+
+// BuildIndexed constructs the cube of tuples and returns it in the
+// EncodeIndexed format. It validates like New, and its bytes always equal
+// New(dims, tuples, opts...).EncodeIndexed, float sums included. With
+// default options no *Node graph is built: BuildIndexed runs New's sorted
+// scan with the same duplicate fold and closes every node straight into a
+// record through the emitter MergeViews uses. Each ALL cell is one k-way
+// merge of the node's already-emitted children, read back from the output
+// itself, with the inputs and left-fold order of suffixCoalesce. Ablation
+// options and WithWorkers build the node graph with New and encode it.
+// Stores use it wherever a fresh build goes straight to a file.
+func BuildIndexed(dims []string, tuples []Tuple, opts ...Option) ([]byte, error) {
+	ats, err := aggTuples(dims, tuples)
+	if err != nil {
+		return nil, err
+	}
+	return BuildIndexedFromAggregates(dims, ats, opts...)
+}
+
+// BuildIndexedFromAggregates is BuildIndexed over pre-aggregated facts,
+// the counterpart of NewFromAggregates.
+func BuildIndexedFromAggregates(dims []string, tuples []AggTuple, opts ...Option) ([]byte, error) {
+	var o Options
+	for _, fn := range opts {
+		fn(&o)
+	}
+	if o.DisableSuffixCoalescing || o.DisableHashConsing || o.Workers > 1 {
+		c, err := NewFromAggregates(dims, tuples, opts...)
+		if err != nil {
+			return nil, err
+		}
+		return c.encodeIndexed(), nil
+	}
+	numTuples, err := validateAggTuples(dims, tuples)
+	if err != nil {
+		return nil, err
+	}
+	self := &CubeView{hdr: viewHeader{dims: dims}}
+	m := newViewMerger([]*CubeView{self}, dims, uint64(numTuples), false)
+	m.self = self
+	b := &streamBuilder{m: m, open: make([][]mcell, len(dims))}
+	root, err := b.build(sortTuples(tuples))
+	if err != nil {
+		return nil, err
+	}
+	return m.assemble(root)
+}
+
+// streamBuilder is the scan state of BuildIndexed: per level, the cells of
+// the open node. A non-leaf cell's child is filled in when the scan closes
+// the node below it.
+type streamBuilder struct {
+	m    *viewMerger
+	open [][]mcell
+	refs []nref
+}
+
+// build is builder.scanRuns at full depth over sorted facts, emitting
+// records instead of linking nodes, and returns the root's id.
+func (b *streamBuilder) build(sorted []AggTuple) (uint32, error) {
+	nd := b.m.ndims
+	if len(sorted) == 0 {
+		// Empty cube: a bare root with no cells and zero aggregates.
+		return b.m.emit(0, nd == 1, nil, 0, Aggregate{})
+	}
+	var prev []string
+	for ti := range sorted {
+		t := &sorted[ti]
+		p := commonPrefix(prev, t.Dims)
+		if prev != nil {
+			if p == nd {
+				// Duplicate key combination: merge into the last leaf cell.
+				leaf := b.open[nd-1]
+				lc := &leaf[len(leaf)-1]
+				lc.agg = MergeAggregates(lc.agg, t.Agg)
+				continue
+			}
+			// Close everything below the divergence level, deepest first.
+			for l := nd - 1; l > p; l-- {
+				if err := b.attachClosed(l); err != nil {
+					return 0, err
+				}
+			}
+		}
+		// Open the new suffix: one new cell per level from p down.
+		for l := p; l < nd; l++ {
+			c := mcell{key: keyBytes(t.Dims[l])}
+			if l == nd-1 {
+				c.agg = t.Agg
+			}
+			b.open[l] = append(b.open[l], c)
+		}
+		prev = t.Dims
+	}
+	for l := nd - 1; l > 0; l-- {
+		if err := b.attachClosed(l); err != nil {
+			return 0, err
+		}
+	}
+	return b.close(0)
+}
+
+// attachClosed closes the open node at level l and makes it the child of
+// the most recent cell of level l-1.
+func (b *streamBuilder) attachClosed(l int) error {
+	id, err := b.close(l)
+	if err != nil {
+		return err
+	}
+	parent := b.open[l-1]
+	parent[len(parent)-1].child = id
+	return nil
+}
+
+// close emits the open node at level l with its ALL cell — the left fold
+// of its cells' aggregates at the leaf level, otherwise the merge of its
+// children — and empties the level for the next node.
+func (b *streamBuilder) close(l int) (uint32, error) {
+	cells := b.open[l]
+	b.open[l] = cells[:0]
+	if l == b.m.ndims-1 {
+		var all Aggregate
+		for i := range cells {
+			all = MergeAggregates(all, cells[i].agg)
+		}
+		return b.m.emit(l, true, cells, 0, all)
+	}
+	refs := b.refs[:0]
+	for i := range cells {
+		refs = append(refs, nref{id: uint64(cells[i].child)})
+	}
+	b.refs = refs
+	all, err := b.m.merge(refs, l+1)
+	if err != nil {
+		return 0, err
+	}
+	return b.m.emit(l, false, cells, all, Aggregate{})
+}
+
+// keyBytes views a tuple key as bytes without copying. The emitter only
+// reads cell keys (into records and zone maps), never writes them.
+func keyBytes(s string) []byte {
+	return unsafe.Slice(unsafe.StringData(s), len(s))
+}

@@ -1,8 +1,6 @@
 package dwarf
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -67,6 +65,10 @@ const (
 	metaMagic   = "DWRFMET3"
 	metaFootLen = 4 + 4 + len(metaMagic) // body CRC + body length + magic
 
+	// maxAggLen is the longest encoded aggregate: three float64s and a
+	// count uvarint.
+	maxAggLen = 24 + binary.MaxVarintLen64
+
 	// maxStreamBytes bounds streams that can carry or build a u32 offset
 	// index.
 	maxStreamBytes = math.MaxUint32
@@ -79,18 +81,6 @@ var (
 	ErrCorruptCube = errors.New("dwarf: corrupt cube stream")
 )
 
-type crcWriter struct {
-	w   *bufio.Writer
-	crc uint32
-	n   int // bytes written after the magic
-}
-
-func (cw *crcWriter) Write(p []byte) (int, error) {
-	cw.crc = crc32.Update(cw.crc, crc32.IEEETable, p)
-	cw.n += len(p)
-	return cw.w.Write(p)
-}
-
 // encodeOffsets captures, during one Encode pass, exactly the node index a
 // post-hoc scanEncoded would recover: per-node record and ALL-record
 // offsets (absolute stream positions), the root id and the node section
@@ -100,10 +90,6 @@ type encodeOffsets struct {
 	starts, allOffs []uint32
 	rootID          uint64
 	nodesStart      int
-	// zones, when non-nil, accumulates per-dimension zone maps from the
-	// cell keys the pass writes. Plain Encode leaves it nil — the v1-only
-	// path pays nothing.
-	zones *zoneAcc
 	// order and ids are the emission-order scratch of the encode pass,
 	// pooled here so repeated encodes (seals, every segment write) reuse
 	// their backing storage.
@@ -124,7 +110,6 @@ func (e *encodeOffsets) reset() {
 	e.allOffs = e.allOffs[:0]
 	e.rootID = 0
 	e.nodesStart = 0
-	e.zones = nil
 	clear(e.order)
 	e.order = e.order[:0]
 	clear(e.ids)
@@ -133,70 +118,18 @@ func (e *encodeOffsets) reset() {
 // Encode writes the cube to w in the binary cube format.
 func (c *Cube) Encode(w io.Writer) error {
 	idx := encodeOffsetsPool.Get().(*encodeOffsets)
-	err := c.encode(w, idx)
+	data := c.encode(idx)
 	idx.reset()
 	encodeOffsetsPool.Put(idx)
+	_, err := w.Write(data)
 	return err
 }
 
-// encode is the single encoding pass behind Encode and EncodeIndexed,
-// recording node offsets into idx as it writes.
-func (c *Cube) encode(w io.Writer, idx *encodeOffsets) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(codecMagic); err != nil {
-		return err
-	}
-	cw := &crcWriter{w: bw}
-	var scratch [binary.MaxVarintLen64]byte
-	writeUvarint := func(v uint64) error {
-		n := binary.PutUvarint(scratch[:], v)
-		_, err := cw.Write(scratch[:n])
-		return err
-	}
-	writeByte := func(b byte) error {
-		_, err := cw.Write([]byte{b})
-		return err
-	}
-	writeString := func(s string) error {
-		if err := writeUvarint(uint64(len(s))); err != nil {
-			return err
-		}
-		_, err := io.WriteString(cw, s)
-		return err
-	}
-	writeAgg := func(a Aggregate) error {
-		var buf [8]byte
-		for _, f := range []float64{a.Sum, a.Min, a.Max} {
-			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(f))
-			if _, err := cw.Write(buf[:]); err != nil {
-				return err
-			}
-		}
-		return writeUvarint(uint64(a.Count))
-	}
-
-	flags := byte(0)
-	if c.FromQuery {
-		flags |= 1
-	}
-	if err := writeByte(codecVersion); err != nil {
-		return err
-	}
-	if err := writeByte(flags); err != nil {
-		return err
-	}
-	if err := writeUvarint(uint64(c.numTuples)); err != nil {
-		return err
-	}
-	if err := writeUvarint(uint64(len(c.dims))); err != nil {
-		return err
-	}
-	for _, d := range c.dims {
-		if err := writeString(d); err != nil {
-			return err
-		}
-	}
-
+// encode is the single encoding pass behind Encode and EncodeIndexed: it
+// appends the v1 stream record by record with the framing MergeViews and
+// BuildIndexed use, recording node offsets into idx, and checksums the
+// finished slice once.
+func (c *Cube) encode(idx *encodeOffsets) []byte {
 	// Assign ids children-first so references always point backwards.
 	ids := idx.ids
 	order := idx.order
@@ -206,68 +139,62 @@ func (c *Cube) encode(w io.Writer, idx *encodeOffsets) error {
 		return true
 	})
 	idx.order = order
-	if err := writeUvarint(uint64(len(order))); err != nil {
-		return err
-	}
-	idx.nodesStart = len(codecMagic) + cw.n
+	out := appendStreamHead(nil, c.dims, uint64(c.numTuples), c.FromQuery, len(order))
+	idx.nodesStart = len(out)
 	for _, n := range order {
-		idx.starts = append(idx.starts, uint32(len(codecMagic)+cw.n))
-		if err := writeUvarint(uint64(n.Level)); err != nil {
-			return err
+		// Room for the record at its longest: header and ALL, plus each
+		// cell's key with an aggregate or child id.
+		need := 2*binary.MaxVarintLen64 + 1 + maxAggLen
+		for i := range n.Cells {
+			need += binary.MaxVarintLen64 + len(n.Cells[i].Key) + maxAggLen
 		}
-		leaf := byte(0)
-		if n.Leaf {
-			leaf = 1
-		}
-		if err := writeByte(leaf); err != nil {
-			return err
-		}
-		if err := writeUvarint(uint64(len(n.Cells))); err != nil {
-			return err
-		}
+		out = grow(out, need)
+		idx.starts = append(idx.starts, uint32(len(out)))
+		out = appendRecordHead(out, n.Level, n.Leaf, len(n.Cells))
 		for i := range n.Cells {
 			cell := &n.Cells[i]
-			if idx.zones != nil {
-				idx.zones.addString(n.Level, cell.Key)
-			}
-			if err := writeString(cell.Key); err != nil {
-				return err
-			}
-			var err error
+			out = appendKey(out, cell.Key)
 			if n.Leaf {
-				err = writeAgg(cell.Agg)
+				out = appendAggregate(out, cell.Agg)
 			} else {
-				err = writeUvarint(ids[cell.Child])
-			}
-			if err != nil {
-				return err
+				out = binary.AppendUvarint(out, ids[cell.Child])
 			}
 		}
-		idx.allOffs = append(idx.allOffs, uint32(len(codecMagic)+cw.n))
-		var err error
+		idx.allOffs = append(idx.allOffs, uint32(len(out)))
 		if n.Leaf {
-			err = writeAgg(n.AllAgg)
+			out = appendAggregate(out, n.AllAgg)
 		} else {
-			err = writeUvarint(ids[n.AllChild]) // 0 when nil
-		}
-		if err != nil {
-			return err
+			out = binary.AppendUvarint(out, ids[n.AllChild]) // 0 when nil
 		}
 	}
-	var rootID uint64
 	if c.root != nil {
-		rootID = ids[c.root]
+		idx.rootID = ids[c.root]
 	}
-	idx.rootID = rootID
-	if err := writeUvarint(rootID); err != nil {
-		return err
+	return appendStreamTail(out, idx.rootID)
+}
+
+// appendStreamHead appends the v1 header: magic, version, flags, source
+// tuple count, dimension names and node count.
+func appendStreamHead(b []byte, dims []string, numTuples uint64, fromQuery bool, nodeCount int) []byte {
+	b = append(b, codecMagic...)
+	flags := byte(0)
+	if fromQuery {
+		flags |= 1
 	}
-	var crcBuf [4]byte
-	binary.LittleEndian.PutUint32(crcBuf[:], cw.crc)
-	if _, err := bw.Write(crcBuf[:]); err != nil {
-		return err
+	b = append(b, codecVersion, flags)
+	b = binary.AppendUvarint(b, numTuples)
+	b = binary.AppendUvarint(b, uint64(len(dims)))
+	for _, d := range dims {
+		b = appendKey(b, d)
 	}
-	return bw.Flush()
+	return binary.AppendUvarint(b, uint64(nodeCount))
+}
+
+// appendStreamTail closes a v1 stream whose node records are in place: the
+// root id, then the CRC of everything after the magic.
+func appendStreamTail(b []byte, rootID uint64) []byte {
+	b = binary.AppendUvarint(b, rootID)
+	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b[len(codecMagic):]))
 }
 
 // EncodeIndexed writes the cube in the v1 format followed by the v2
@@ -277,28 +204,30 @@ func (c *Cube) encode(w io.Writer, idx *encodeOffsets) error {
 // prune-before-scan planning. v1 readers decode the stream unchanged: both
 // sections sit after the CRC word and are stripped before parsing.
 //
-// The trailer and zone maps are built from offsets and keys recorded during
-// the encode pass itself — one pass, no re-scan of the stream just written
-// (streams of 4 GiB or more cannot carry u32 offsets and are written
-// without either section).
+// The trailer is built from offsets recorded during the encode pass itself
+// and the zone maps from the cube's ALL chain — no re-scan of the stream
+// just written (streams of 4 GiB or more cannot carry u32 offsets and are
+// written without either section).
 func (c *Cube) EncodeIndexed(w io.Writer) error {
+	_, err := w.Write(c.encodeIndexed())
+	return err
+}
+
+// encodeIndexed is EncodeIndexed returning the stream as one slice.
+func (c *Cube) encodeIndexed() []byte {
 	idx := encodeOffsetsPool.Get().(*encodeOffsets)
 	defer func() {
 		idx.reset()
 		encodeOffsetsPool.Put(idx)
 	}()
-	idx.zones = newZoneAcc(len(c.dims))
-	var buf bytes.Buffer
-	if err := c.encode(&buf, idx); err != nil {
-		return err
-	}
-	data := buf.Bytes()
+	data := c.encode(idx)
 	if len(data) <= maxStreamBytes {
+		zones := c.zoneMaps()
+		data = grow(data, trailerFixedLen+8*len(idx.starts)+trailerFootLen+metaTrailerLen(zones))
 		data = appendTrailer(data, idx.starts, idx.allOffs, idx.rootID, idx.nodesStart)
-		data = appendMetaTrailer(data, idx.zones.zones)
+		data = appendMetaTrailer(data, zones)
 	}
-	_, err := w.Write(data)
-	return err
+	return data
 }
 
 // appendTrailer appends the v2 node-offset trailer (body, body CRC, body

@@ -7,11 +7,14 @@ import "sync"
 // block of the paper's §7 maintenance loop. Add and AddBatch only validate
 // and append; they never build. Cube folds every buffered tuple with one
 // sorted-scan New, and merges that into the standing cube with MergeAll
-// only when an earlier Cube call already built one. A buffer that is never
-// read before its final Cube is therefore constructed exactly once, and
+// only when an earlier Cube call already built one. IndexedBytes encodes
+// every tuple without folding: the buffered tail goes straight to bytes
+// with BuildIndexed (no *Node graph for default options), merged with a
+// standing cube through MergeViews. A buffer never read before its
+// IndexedBytes or final Cube is therefore constructed exactly once, and
 // byte-identically to New over the same tuples. Construction options
-// (ablations, WithWorkers) apply to every fold. The zero value is not
-// usable; call NewIncremental.
+// (ablations, WithWorkers) apply to every fold and build. The zero value is
+// not usable; call NewIncremental.
 //
 // An Incremental is safe for concurrent use: Add, AddBatch, Cube and
 // Buffered may be called from multiple goroutines. Folds run outside the
@@ -116,6 +119,33 @@ func (inc *Incremental) Cube() (*Cube, error) {
 		inc.pending = nil
 	}
 	return folded, nil
+}
+
+// IndexedBytes returns every tuple added so far in the EncodeIndexed
+// format, without folding the buffer. The pending tuples, handed over under
+// the lock, are built straight to bytes with BuildIndexed. A standing cube
+// that earlier Cube calls folded is merged in with MergeViews, which
+// re-canonicalizes MergeAll's output, so with exact sums the bytes are those
+// of New over every tuple. The builder is left as it was: a Cube call that
+// runs meanwhile folds the same pending tuples itself.
+func (inc *Incremental) IndexedBytes() ([]byte, error) {
+	inc.mu.Lock()
+	tail, standing := inc.pending, inc.cube
+	inc.mu.Unlock()
+	out, err := BuildIndexed(inc.dims, tail, inc.opts...)
+	if err != nil || standing.numTuples == 0 {
+		return out, err
+	}
+	sv, err := OpenViewTrusted(standing.encodeIndexed())
+	if err != nil {
+		return nil, err
+	}
+	tv, err := OpenViewTrusted(out)
+	if err != nil {
+		return nil, err
+	}
+	out, _, err = MergeViewsBytes(sv, tv)
+	return out, err
 }
 
 // Buffered reports the tuples not yet folded into the standing cube.

@@ -108,6 +108,60 @@ func TestIncrementalBuildsOnce(t *testing.T) {
 	}
 }
 
+// TestIncrementalIndexedBytes: IndexedBytes writes the batch encoding of
+// every tuple added, whether no Cube call, some, or a full fold came first
+// (integer measures, so folded sums are exact), and leaves the buffer as
+// it found it.
+func TestIncrementalIndexedBytes(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	dims := []string{"a", "b", "c"}
+	tuples := intTuples(rng, 3, 600, 24)
+	want := batchIndexed(t, dims, tuples)
+	for _, foldAt := range []int{-1, 0, 200, 450, 600} {
+		inc, err := NewIncremental(dims)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < len(tuples); i += 50 {
+			if i == foldAt {
+				if _, err := inc.Cube(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := inc.AddBatch(tuples[i : i+50]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if foldAt == len(tuples) {
+			if _, err := inc.Cube(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		buffered := inc.Buffered()
+		got, err := inc.IndexedBytes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("fold at %d: IndexedBytes wrote %d bytes, the batch build encodes to %d", foldAt, len(got), len(want))
+		}
+		if inc.Buffered() != buffered {
+			t.Errorf("fold at %d: IndexedBytes changed Buffered from %d to %d", foldAt, buffered, inc.Buffered())
+		}
+	}
+	empty, err := NewIncremental(dims)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := empty.IndexedBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := batchIndexed(t, dims, nil); !bytes.Equal(got, want) {
+		t.Errorf("empty builder: IndexedBytes wrote %d bytes, want %d", len(got), len(want))
+	}
+}
+
 func TestIncrementalContinuesAfterCube(t *testing.T) {
 	inc, err := NewIncremental([]string{"d"})
 	if err != nil {
@@ -248,6 +302,10 @@ func TestIncrementalConcurrent(t *testing.T) {
 					return
 				}
 				if _, err := c.Point(All, All); err != nil {
+					t.Error(err)
+					return
+				}
+				if _, err := inc.IndexedBytes(); err != nil {
 					t.Error(err)
 					return
 				}

@@ -5,10 +5,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"hash/maphash"
 	"io"
 	"math"
+	"slices"
 )
 
 // Streaming k-way merge over encoded cubes. MergeViews combines any number
@@ -104,7 +104,7 @@ func MergeViewsBytes(views ...*CubeView) ([]byte, MergeStats, error) {
 	stats.Inputs = len(views)
 	stats.Tuples = int(numTuples)
 
-	m := newViewMerger(views)
+	m := newViewMerger(views, dims, numTuples, fromQuery)
 	var roots []nref
 	for i, v := range views {
 		if v.rootID != 0 {
@@ -127,7 +127,7 @@ func MergeViewsBytes(views ...*CubeView) ([]byte, MergeStats, error) {
 	stats.Cells = m.cells
 	stats.SharedNodes = m.shared
 
-	out, err := m.assemble(dims, numTuples, fromQuery, rootOut)
+	out, err := m.assemble(rootOut)
 	if err != nil {
 		return nil, stats, err
 	}
@@ -155,38 +155,34 @@ type mcell struct {
 // structural scan, so the merge re-checks what it depends on).
 type cellIter struct {
 	view int
+	// n.cells is the cursor over the remaining cells, n.ncells their count.
 	n    vnode
-	cur  cursor
-	rem  int
 	done bool
 	key  []byte
-	// prev is the previous key, for the sortedness check.
-	prev []byte
 
 	child uint64
 	agg   Aggregate
 }
 
 func (it *cellIter) next() error {
-	if it.rem == 0 {
+	if it.n.ncells == 0 {
 		it.done = true
 		return nil
 	}
-	it.rem--
-	it.prev = it.key
-	k, err := it.cur.str()
+	it.n.ncells--
+	k, err := it.n.cells.str()
 	if err != nil {
 		return err
 	}
-	if it.prev != nil && cmpKeys(it.prev, k) >= 0 {
+	if it.key != nil && cmpKeys(it.key, k) >= 0 {
 		return errCorrupt("node %d: cell keys not strictly sorted", it.n.id)
 	}
 	it.key = k
 	if it.n.leaf {
-		it.agg, err = it.cur.agg()
+		it.agg, err = it.n.cells.agg()
 	} else {
 		var id uint64
-		if id, err = it.cur.uvarint(); err == nil {
+		if id, err = it.n.cells.uvarint(); err == nil {
 			id, err = it.n.childID(id)
 			it.child = id
 		}
@@ -200,25 +196,38 @@ func (it *cellIter) next() error {
 // allocation count independent of node count.
 type levelScratch struct {
 	iters     []cellIter
+	match     []int // iters positioned on the current smallest key
 	cells     []mcell
 	childRefs []nref
 	allRefs   []nref
 }
 
-// viewMerger holds the merge state: the node section under construction
-// (relative offsets), the content-addressing table, and the two memo tables
-// that keep shared sub-dwarf work linear.
+// viewMerger holds the merge state: the output under construction, the
+// content-addressing table, and the two memo tables that keep shared
+// sub-dwarf work linear.
 type viewMerger struct {
 	ndims int
 	views []*CubeView
 
-	buf     []byte   // output node section, records back to back
+	// head is the output's v1 header up to its node count, which is known
+	// only once the last record is out. buf opens with room for head and
+	// the widest count, then holds the records back to back, so assemble
+	// writes the header in place instead of copying the records after it.
+	head    []byte
+	buf     []byte
 	starts  []uint32 // per emitted node: record offset in buf
-	ends    []uint32
 	allOffs []uint32
 
-	canon map[uint64][]uint32 // content hash -> emitted node ids
+	// canon maps a record's content hash to the newest emitted node with
+	// that hash; chain[id-1] links to the previous one, 0 ending the chain.
+	canon map[uint64]uint32
+	chain []uint32
 	seed  maphash.Seed
+
+	// self, when non-nil, is a view over buf itself (BuildIndexed): the only
+	// input is the output under construction, so a single-ref merge is the
+	// identity and emit keeps the view in step with every appended record.
+	self *CubeView
 
 	// single memoizes the translation of one input sub-dwarf; multi
 	// memoizes genuine k-way merges by their input reference set. Both map
@@ -230,32 +239,30 @@ type viewMerger struct {
 	rec    []byte // record under construction (only used at emit time)
 	key    []byte // memo key scratch
 
-	// zones accumulates the output's per-dimension zone maps. Keys are
-	// folded only when a record is appended (not when it dedups to an
-	// already-emitted node, whose keys were folded then), so the union over
-	// emitted records at level d is exactly dimension d's distinct key set —
-	// the same maps a batch build of the merged facts would record.
-	zones *zoneAcc
-
 	cells  int
 	shared int
 }
 
-func newViewMerger(views []*CubeView) *viewMerger {
-	ndims := len(views[0].hdr.dims)
+// newViewMerger prepares a merge of views into a stream whose header
+// carries dims, numTuples and fromQuery.
+func newViewMerger(views []*CubeView, dims []string, numTuples uint64, fromQuery bool) *viewMerger {
+	ndims := len(dims)
 	single := make([]map[uint64]uint32, len(views))
 	for i := range single {
 		single[i] = make(map[uint64]uint32)
 	}
+	head := appendStreamHead(nil, dims, numTuples, fromQuery, 0)
+	head = head[:len(head)-1] // the one-byte zero node count
 	return &viewMerger{
 		ndims:  ndims,
 		views:  views,
-		canon:  make(map[uint64][]uint32),
+		head:   head,
+		buf:    make([]byte, len(head)+binary.MaxVarintLen32),
+		canon:  make(map[uint64]uint32),
 		seed:   maphash.MakeSeed(),
 		single: single,
 		multi:  make(map[string]uint32),
 		levels: make([]levelScratch, ndims),
-		zones:  newZoneAcc(ndims),
 	}
 }
 
@@ -263,34 +270,33 @@ func newViewMerger(views []*CubeView) *viewMerger {
 // given level), memoized so shared input structure is merged once.
 func (m *viewMerger) merge(refs []nref, level int) (uint32, error) {
 	if len(refs) == 1 {
+		if m.self != nil {
+			return uint32(refs[0].id), nil
+		}
 		if id, ok := m.single[refs[0].view][refs[0].id]; ok {
 			return id, nil
 		}
-	} else {
-		m.key = m.key[:0]
-		for _, r := range refs {
-			m.key = binary.AppendUvarint(m.key, uint64(r.view))
-			m.key = binary.AppendUvarint(m.key, r.id)
+		id, err := m.mergeNodes(refs, level)
+		if err == nil {
+			m.single[refs[0].view][refs[0].id] = id
 		}
-		if id, ok := m.multi[string(m.key)]; ok {
-			return id, nil
-		}
+		return id, err
 	}
+	m.key = m.key[:0]
+	for _, r := range refs {
+		m.key = binary.AppendUvarint(m.key, uint64(r.view))
+		m.key = binary.AppendUvarint(m.key, r.id)
+	}
+	if id, ok := m.multi[string(m.key)]; ok {
+		return id, nil
+	}
+	// The recursion reuses m.key, so the memo key is taken now.
+	key := string(m.key)
 	id, err := m.mergeNodes(refs, level)
-	if err != nil {
-		return 0, err
+	if err == nil {
+		m.multi[key] = id
 	}
-	if len(refs) == 1 {
-		m.single[refs[0].view][refs[0].id] = id
-	} else {
-		m.key = m.key[:0]
-		for _, r := range refs {
-			m.key = binary.AppendUvarint(m.key, uint64(r.view))
-			m.key = binary.AppendUvarint(m.key, r.id)
-		}
-		m.multi[string(m.key)] = id
-	}
-	return id, nil
+	return id, err
 }
 
 // mergeNodes performs the k-way cell merge of refs and emits the resulting
@@ -300,13 +306,14 @@ func (m *viewMerger) merge(refs []nref, level int) (uint32, error) {
 func (m *viewMerger) mergeNodes(refs []nref, level int) (uint32, error) {
 	leaf := level == m.ndims-1
 	sc := &m.levels[level]
-	sc.iters = sc.iters[:0]
-	for _, r := range refs {
-		v := m.views[r.view]
-		n, err := v.node(r.id)
+	sc.iters = slices.Grow(sc.iters[:0], len(refs))[:len(refs)]
+	for i, r := range refs {
+		it := &sc.iters[i]
+		n, err := m.views[r.view].node(r.id)
 		if err != nil {
 			return 0, err
 		}
+		*it = cellIter{view: r.view, n: n}
 		if n.level != level {
 			return 0, errCorrupt("merge: input %d node %d at level %d, want %d", r.view, r.id, n.level, level)
 		}
@@ -314,49 +321,56 @@ func (m *viewMerger) mergeNodes(refs []nref, level int) (uint32, error) {
 			return 0, errCorrupt("merge: input %d node %d leaf flag %v disagrees with level %d of %d",
 				r.view, r.id, n.leaf, level, m.ndims)
 		}
-		it := cellIter{view: r.view, n: n, cur: n.cells, rem: n.ncells}
 		if err := it.next(); err != nil {
 			return 0, err
 		}
-		sc.iters = append(sc.iters, it)
 	}
 
 	sc.cells = sc.cells[:0]
 	for {
+		// One pass finds the smallest current key and, in input order,
+		// the inputs positioned on it.
 		var minKey []byte
-		found := false
+		sc.match = sc.match[:0]
 		for i := range sc.iters {
 			it := &sc.iters[i]
-			if !it.done && (!found || cmpKeys(it.key, minKey) < 0) {
-				minKey, found = it.key, true
+			if it.done {
+				continue
 			}
+			if len(sc.match) > 0 {
+				c := cmpKeys(it.key, minKey)
+				if c > 0 {
+					continue
+				}
+				if c < 0 {
+					sc.match = sc.match[:0]
+				}
+			}
+			minKey = it.key
+			sc.match = append(sc.match, i)
 		}
-		if !found {
+		if len(sc.match) == 0 {
 			break
 		}
 		if leaf {
 			// Fold matching leaf aggregates in input order — the same
 			// left-fold the builder's suffixCoalesce performs.
 			var agg Aggregate
-			for i := range sc.iters {
+			for _, i := range sc.match {
 				it := &sc.iters[i]
-				if !it.done && cmpKeys(it.key, minKey) == 0 {
-					agg = MergeAggregates(agg, it.agg)
-					if err := it.next(); err != nil {
-						return 0, err
-					}
+				agg = MergeAggregates(agg, it.agg)
+				if err := it.next(); err != nil {
+					return 0, err
 				}
 			}
 			sc.cells = append(sc.cells, mcell{key: minKey, agg: agg})
 		} else {
 			sc.childRefs = sc.childRefs[:0]
-			for i := range sc.iters {
+			for _, i := range sc.match {
 				it := &sc.iters[i]
-				if !it.done && cmpKeys(it.key, minKey) == 0 {
-					sc.childRefs = append(sc.childRefs, nref{view: it.view, id: it.child})
-					if err := it.next(); err != nil {
-						return 0, err
-					}
+				sc.childRefs = append(sc.childRefs, nref{view: it.view, id: it.child})
+				if err := it.next(); err != nil {
+					return 0, err
 				}
 			}
 			child, err := m.merge(sc.childRefs, level+1)
@@ -373,7 +387,7 @@ func (m *viewMerger) mergeNodes(refs []nref, level int) (uint32, error) {
 	var allID uint32
 	if leaf {
 		for i := range sc.iters {
-			a, err := m.views[sc.iters[i].view].allAgg(sc.iters[i].n)
+			a, err := m.views[sc.iters[i].view].allAgg(&sc.iters[i].n)
 			if err != nil {
 				return 0, err
 			}
@@ -382,7 +396,7 @@ func (m *viewMerger) mergeNodes(refs []nref, level int) (uint32, error) {
 	} else {
 		sc.allRefs = sc.allRefs[:0]
 		for i := range sc.iters {
-			id, err := m.views[sc.iters[i].view].allChild(sc.iters[i].n)
+			id, err := m.views[sc.iters[i].view].allChild(&sc.iters[i].n)
 			if err != nil {
 				return 0, err
 			}
@@ -404,18 +418,11 @@ func (m *viewMerger) mergeNodes(refs []nref, level int) (uint32, error) {
 // emitted so far, and either returns the existing id (suffix coalescing /
 // hash-consing on encoded bytes) or appends it as the next node.
 func (m *viewMerger) emit(level int, leaf bool, cells []mcell, allID uint32, allAgg Aggregate) (uint32, error) {
-	rec := m.rec[:0]
-	rec = binary.AppendUvarint(rec, uint64(level))
-	if leaf {
-		rec = append(rec, 1)
-	} else {
-		rec = append(rec, 0)
-	}
-	rec = binary.AppendUvarint(rec, uint64(len(cells)))
+	rec := appendRecordHead(m.rec[:0], level, leaf, len(cells))
+	headLen := len(rec)
 	for i := range cells {
 		c := &cells[i]
-		rec = binary.AppendUvarint(rec, uint64(len(c.key)))
-		rec = append(rec, c.key...)
+		rec = appendKey(rec, c.key)
 		if leaf {
 			rec = appendAggregate(rec, c.agg)
 		} else {
@@ -431,8 +438,9 @@ func (m *viewMerger) emit(level int, leaf bool, cells []mcell, allID uint32, all
 	m.rec = rec
 
 	h := maphash.Bytes(m.seed, rec)
-	for _, id := range m.canon[h] {
-		if bytes.Equal(rec, m.buf[m.starts[id-1]:m.ends[id-1]]) {
+	head := m.canon[h]
+	for id := head; id != 0; id = m.chain[id-1] {
+		if bytes.Equal(rec, m.record(id)) {
 			m.shared++
 			return id, nil
 		}
@@ -441,63 +449,143 @@ func (m *viewMerger) emit(level int, leaf bool, cells []mcell, allID uint32, all
 		return 0, ErrMergeTooLarge
 	}
 	start := uint32(len(m.buf))
-	m.buf = append(m.buf, rec...)
+	m.buf = append(grow(m.buf, len(rec)), rec...)
 	m.starts = append(m.starts, start)
-	m.ends = append(m.ends, uint32(len(m.buf)))
 	m.allOffs = append(m.allOffs, start+uint32(allOff))
 	id := uint32(len(m.starts))
-	m.canon[h] = append(m.canon[h], id)
+	m.canon[h] = id
+	m.chain = append(m.chain, head)
 	m.cells += len(cells)
-	for i := range cells {
-		m.zones.add(level, cells[i].key)
+	if v := m.self; v != nil {
+		// Keep the self-view's node index, fanout headers included, in
+		// step with the records so far.
+		v.data, v.starts, v.allOffs = m.buf, m.starts, m.allOffs
+		v.hdr.payloadEnd = len(m.buf)
+		v.levels = append(v.levels, uint16(level))
+		v.ncells = append(v.ncells, uint32(len(cells)))
+		v.cellsOff = append(v.cellsOff, start+uint32(headLen))
 	}
 	return id, nil
 }
 
-// assemble lays the final stream down: v1 header, node section (offsets
-// shifted to absolute), root id, CRC, then the v2 offset trailer and the
-// v3 zone-map section — the byte-for-byte layout EncodeIndexed produces.
-func (m *viewMerger) assemble(dims []string, numTuples uint64, fromQuery bool, rootOut uint32) ([]byte, error) {
-	hdr := make([]byte, 0, 64)
-	hdr = append(hdr, codecMagic...)
-	hdr = append(hdr, codecVersion)
-	flags := byte(0)
-	if fromQuery {
-		flags |= 1
+// record returns the bytes of emitted node id: records lie back to back,
+// so each ends where the next one starts.
+func (m *viewMerger) record(id uint32) []byte {
+	if int(id) == len(m.starts) {
+		return m.buf[m.starts[id-1]:]
 	}
-	hdr = append(hdr, flags)
-	hdr = binary.AppendUvarint(hdr, numTuples)
-	hdr = binary.AppendUvarint(hdr, uint64(len(dims)))
-	for _, d := range dims {
-		hdr = binary.AppendUvarint(hdr, uint64(len(d)))
-		hdr = append(hdr, d...)
-	}
-	hdr = binary.AppendUvarint(hdr, uint64(len(m.starts)))
-	nodesStart := len(hdr)
-
-	var rootBuf [binary.MaxVarintLen64]byte
-	rootLen := binary.PutUvarint(rootBuf[:], uint64(rootOut))
-	v1Len := nodesStart + len(m.buf) + rootLen + 4
-	if v1Len > maxStreamBytes {
-		return nil, ErrMergeTooLarge
-	}
-	out := make([]byte, 0, v1Len+trailerFixedLen+8*len(m.starts)+trailerFootLen)
-	out = append(out, hdr...)
-	out = append(out, m.buf...)
-	out = append(out, rootBuf[:rootLen]...)
-	crc := crc32.ChecksumIEEE(out[len(codecMagic):])
-	out = binary.LittleEndian.AppendUint32(out, crc)
-
-	for i := range m.starts {
-		m.starts[i] += uint32(nodesStart)
-		m.allOffs[i] += uint32(nodesStart)
-	}
-	out = appendTrailer(out, m.starts, m.allOffs, uint64(rootOut), nodesStart)
-	return appendMetaTrailer(out, m.zones.zones), nil
+	return m.buf[m.starts[id-1]:m.starts[id]]
 }
 
-// appendAggregate encodes an aggregate exactly as the codec's writeAgg
-// does: sum, min, max as little-endian float64 bits, then count uvarint.
+// assemble finishes the stream in buf: v1 header written in front of the
+// records, root id, CRC, then the v2 offset trailer and the v3 zone-map
+// section — the byte-for-byte layout EncodeIndexed produces.
+func (m *viewMerger) assemble(rootOut uint32) ([]byte, error) {
+	count := binary.AppendUvarint(nil, uint64(len(m.starts)))
+	nodesStart := len(m.head) + len(count)
+	off := len(m.head) + binary.MaxVarintLen32 - nodesStart
+	zones, err := m.zoneMaps(rootOut)
+	if err != nil {
+		return nil, err
+	}
+	out := m.buf[off:]
+	copy(out, m.head)
+	copy(out[len(m.head):], count)
+	out = appendStreamTail(out, uint64(rootOut))
+	if len(out) > maxStreamBytes {
+		return nil, ErrMergeTooLarge
+	}
+	for i := range m.starts {
+		m.starts[i] -= uint32(off)
+		m.allOffs[i] -= uint32(off)
+	}
+	out = appendTrailer(out, m.starts, m.allOffs, uint64(rootOut), nodesStart)
+	return appendMetaTrailer(out, zones), nil
+}
+
+// zoneMaps reads the output's zone maps off its ALL chain (see
+// Cube.zoneMaps): the records are canonical, so the level-d node of the
+// chain lists dimension d's distinct keys in order.
+func (m *viewMerger) zoneMaps(root uint32) ([]ZoneMap, error) {
+	zones := make([]ZoneMap, m.ndims)
+	for d, id := 0, uint64(root); id != 0 && d < m.ndims; d++ {
+		cur := cursor{data: m.buf, pos: int(m.starts[id-1]), end: len(m.buf)}
+		if _, err := cur.uvarint(); err != nil { // level
+			return nil, err
+		}
+		if _, err := cur.u8(); err != nil { // leaf flag
+			return nil, err
+		}
+		n, err := cur.uvarint()
+		if err != nil {
+			return nil, err
+		}
+		leaf := d == m.ndims-1
+		z := &zones[d]
+		for i := uint64(0); i < n; i++ {
+			key, err := cur.str()
+			if err != nil {
+				return nil, err
+			}
+			if i == 0 {
+				z.Min = string(key)
+			}
+			if i == n-1 {
+				z.Max = string(key)
+			}
+			if leaf {
+				err = cur.skipAgg()
+			} else {
+				_, err = cur.uvarint()
+			}
+			if err != nil {
+				return nil, err
+			}
+		}
+		z.Distinct = int(n)
+		if leaf {
+			break
+		}
+		if id, err = cur.uvarint(); err != nil {
+			return nil, err
+		}
+	}
+	return zones, nil
+}
+
+// grow returns b with room for n more bytes, doubling its capacity when it
+// must grow. append grows a large slice by only 1.25x, so a stream written
+// record by record would otherwise be copied, and left as garbage, many
+// times over.
+func grow(b []byte, n int) []byte {
+	if len(b)+n <= cap(b) {
+		return b
+	}
+	return append(make([]byte, 0, 2*cap(b)+n), b...)
+}
+
+// appendRecordHead frames the start of a node record — level, leaf flag,
+// key-cell count — for every writer of the format (Encode, MergeViews,
+// BuildIndexed). Cells follow as appendKey plus a child id uvarint or an
+// appendAggregate, then the ALL record.
+func appendRecordHead(b []byte, level int, leaf bool, ncells int) []byte {
+	b = binary.AppendUvarint(b, uint64(level))
+	if leaf {
+		b = append(b, 1)
+	} else {
+		b = append(b, 0)
+	}
+	return binary.AppendUvarint(b, uint64(ncells))
+}
+
+// appendKey appends a length-prefixed key (cell keys and dimension names).
+func appendKey[K string | []byte](b []byte, key K) []byte {
+	b = binary.AppendUvarint(b, uint64(len(key)))
+	return append(b, key...)
+}
+
+// appendAggregate encodes an aggregate: sum, min, max as little-endian
+// float64 bits, then count uvarint.
 func appendAggregate(b []byte, a Aggregate) []byte {
 	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(a.Sum))
 	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(a.Min))

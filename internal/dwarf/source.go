@@ -169,10 +169,10 @@ func (v *CubeView) SourceAll(cur Cursor, level int) (Aggregate, Cursor, error) {
 		return Aggregate{}, Cursor{}, err
 	}
 	if n.leaf {
-		agg, err := v.allAgg(n)
+		agg, err := v.allAgg(&n)
 		return agg, Cursor{}, err
 	}
-	id, err := v.allChild(n)
+	id, err := v.allChild(&n)
 	return Aggregate{}, Cursor{id: id}, err
 }
 

@@ -573,13 +573,13 @@ func (v *CubeView) node(id uint64) (vnode, error) {
 }
 
 // allAgg reads a leaf node's ALL aggregate.
-func (v *CubeView) allAgg(n vnode) (Aggregate, error) {
+func (v *CubeView) allAgg(n *vnode) (Aggregate, error) {
 	cur := cursor{data: v.data, pos: n.allPos, end: v.hdr.payloadEnd}
 	return cur.agg()
 }
 
 // allChild reads a non-leaf node's ALL child id (0 = nil).
-func (v *CubeView) allChild(n vnode) (uint64, error) {
+func (v *CubeView) allChild(n *vnode) (uint64, error) {
 	cur := cursor{data: v.data, pos: n.allPos, end: v.hdr.payloadEnd}
 	id, err := cur.uvarint()
 	if err != nil {
@@ -592,7 +592,7 @@ func (v *CubeView) allChild(n vnode) (uint64, error) {
 }
 
 // childID validates a cell's child reference.
-func (n vnode) childID(id uint64) (uint64, error) {
+func (n *vnode) childID(id uint64) (uint64, error) {
 	if id == 0 || id >= n.id {
 		return 0, errCorrupt("node %d: cell child id %d is not an earlier node", n.id, id)
 	}

@@ -14,8 +14,9 @@ import (
 // each segment's zone maps and skip segments that provably hold no matching
 // tuple — before the kernel, or even the file, is ever opened.
 //
-// The maps are computed during the encode or merge pass itself (both
-// already visit every cell in key order), never by an extra pass.
+// Every writer of a cube it built reads the maps off the ALL chain (see
+// Cube.zoneMaps); only AppendOffsetTrailer, which upgrades a stream from
+// outside, folds every cell key during its validating scan.
 
 // ZoneMap is one dimension's key-range summary.
 type ZoneMap struct {
@@ -27,9 +28,9 @@ type ZoneMap struct {
 	Distinct int `json:"distinct"`
 }
 
-// zoneAcc accumulates per-dimension zone maps while an encode or merge pass
-// walks cells. Keys arrive in node order, not globally sorted, so the
-// accumulator tracks running min/max and a seen set per dimension.
+// zoneAcc accumulates per-dimension zone maps while a scan walks cells.
+// Keys arrive in node order, not globally sorted, so the accumulator tracks
+// running min/max and a seen set per dimension.
 type zoneAcc struct {
 	seen  []map[string]struct{}
 	zones []ZoneMap
@@ -55,14 +56,6 @@ func (a *zoneAcc) add(level int, key []byte) {
 	a.addNew(level, string(key))
 }
 
-// addString is add for keys already held as strings (the in-memory encoder).
-func (a *zoneAcc) addString(level int, key string) {
-	if _, ok := a.seen[level][key]; ok {
-		return
-	}
-	a.addNew(level, key)
-}
-
 func (a *zoneAcc) addNew(level int, key string) {
 	a.seen[level][key] = struct{}{}
 	z := &a.zones[level]
@@ -73,6 +66,22 @@ func (a *zoneAcc) addNew(level int, key string) {
 		z.Max = key
 	}
 	z.Distinct++
+}
+
+// zoneMaps returns the cube's zone maps from its ALL chain. The node
+// reached from the root through d ALL cells aggregates every fact over the
+// first d dimensions, so its cells are exactly dimension d's distinct keys,
+// sorted: the first is the minimum, the last the maximum, and their count
+// the distinct count. Every cube built from facts, merged, or decoded from
+// an encoder's output has that shape.
+func (c *Cube) zoneMaps() []ZoneMap {
+	zones := make([]ZoneMap, len(c.dims))
+	for n := c.root; n != nil; n = n.AllChild {
+		if k := len(n.Cells); k > 0 {
+			zones[n.Level] = ZoneMap{Min: n.Cells[0].Key, Max: n.Cells[k-1].Key, Distinct: k}
+		}
+	}
+	return zones
 }
 
 // appendMetaTrailer appends the v3 metadata section (body, body CRC, body
@@ -93,6 +102,15 @@ func appendMetaTrailer(out []byte, zones []ZoneMap) []byte {
 	out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(out[bodyStart:]))
 	out = binary.LittleEndian.AppendUint32(out, uint32(bodyLen))
 	return append(out, metaMagic...)
+}
+
+// metaTrailerLen bounds the bytes appendMetaTrailer adds for zones.
+func metaTrailerLen(zones []ZoneMap) int {
+	n := binary.MaxVarintLen64 + metaFootLen
+	for i := range zones {
+		n += 3*binary.MaxVarintLen64 + len(zones[i].Min) + len(zones[i].Max)
+	}
+	return n
 }
 
 // parseZoneMaps decodes a CRC-validated v3 metadata body, enforcing every
