@@ -11,11 +11,11 @@ import (
 	"repro/internal/query"
 )
 
-// Unit coverage for the planned query path's routing decisions: invalid
-// arguments must skip the planner (so the kernel reports its usual error),
-// a rollup whose cover is no longer a subset of the live segment set must
-// fall back to the plain fan-out, and runIndexed must surface the
-// lowest-index error regardless of which targets run concurrently.
+// Unit coverage for the read path's routing decisions: invalid arguments
+// must skip rollup substitution (so the kernel reports its usual error), a
+// rollup whose cover is no longer a subset of the live segment set must
+// not be planned in, and runIndexed must surface the lowest-index error
+// regardless of which targets run concurrently.
 
 func TestValidPivotArgs(t *testing.T) {
 	all := make([]dwarf.Selector, 3)
@@ -36,18 +36,22 @@ func TestValidPivotArgs(t *testing.T) {
 		{"too many selectors", []int{0}, make([]dwarf.Selector, 4), false},
 	}
 	for _, c := range cases {
-		if got := validPivotArgs(c.dims, c.sels, 3); got != c.want {
-			t.Errorf("%s: validPivotArgs = %v, want %v", c.name, got, c.want)
+		if got := validGroupArgs(c.dims, c.sels, 3); got != c.want {
+			t.Errorf("%s: validGroupArgs = %v, want %v", c.name, got, c.want)
 		}
 	}
 }
 
-// plannerState builds a storeState with the named segment files and one
-// rollup over dims covering the listed files. Views stay nil: planTargets
-// only routes, it never executes.
+// plannerState builds a storeState with the named segment files, one
+// rollup over dims covering the listed files and an empty live memtable.
+// Views stay nil: plan only routes, it never executes.
 func plannerState(t *testing.T, storeDims []string, segFiles []string, rollupDims, covers []string) *storeState {
 	t.Helper()
-	st := &storeState{}
+	mem, err := dwarf.NewIncremental(storeDims)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := &storeState{mem: mem}
 	for _, f := range segFiles {
 		st.segs = append(st.segs, &segment{meta: segmentMeta{File: f, Tuples: 10}})
 	}
@@ -63,6 +67,37 @@ func plannerState(t *testing.T, storeDims []string, segFiles []string, rollupDim
 	return st
 }
 
+// plannedTarget is a file-backed target with the query it runs.
+type plannedTarget struct {
+	file string
+	dims []int
+	sels []dwarf.Selector
+}
+
+// planFileTargets plans a grouped query over st and returns its
+// file-backed targets with the query each runs, after checking that the
+// live memtable closes the plan under the original query.
+func planFileTargets(t *testing.T, s *Store, st *storeState, grouped []int, sels []dwarf.Selector) []plannedTarget {
+	t.Helper()
+	ts, err := s.plan(st, grouped, sels, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cube, err := st.mem.Cube()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if live := ts[len(ts)-1]; live.src != query.Querier(cube) || live.file != "" || live.remap != nil {
+		t.Fatalf("plan must end with the live memtable under the original query: %+v", live)
+	}
+	out := make([]plannedTarget, 0, len(ts)-1)
+	for i := range ts[:len(ts)-1] {
+		dims, sels := ts[i].args(grouped, sels)
+		out = append(out, plannedTarget{file: ts[i].file, dims: dims, sels: sels})
+	}
+	return out
+}
+
 func TestPlanTargetsRollupCoverGone(t *testing.T) {
 	dims := []string{"Day", "Region", "Kind"}
 	// The rollup summarizes seg-1 and seg-2, but seg-2 was compacted away:
@@ -72,8 +107,9 @@ func TestPlanTargetsRollupCoverGone(t *testing.T) {
 	st := plannerState(t, dims, []string{"seg-1.dwarf", "seg-3.dwarf"},
 		[]string{"Region", "Kind"}, []string{"seg-1.dwarf", "seg-2.dwarf"})
 	sels := make([]dwarf.Selector, len(dims))
-	targets, viaRollup := new(Store).planTargets(st, []int{1}, sels)
-	if viaRollup {
+	s := &Store{dims: dims}
+	targets := planFileTargets(t, s, st, []int{1}, sels)
+	if viaRollup := s.rollupHits.Load() > 0; viaRollup {
 		t.Fatal("partially covering rollup must not be planned in")
 	}
 	if len(targets) != 2 || targets[0].file != "seg-1.dwarf" || targets[1].file != "seg-3.dwarf" {
@@ -92,8 +128,9 @@ func TestPlanTargetsRollupRemap(t *testing.T) {
 		[]string{"Region", "Kind"}, []string{"seg-1.dwarf"})
 	sels := make([]dwarf.Selector, len(dims))
 	sels[2] = dwarf.SelectKeys("bike")
-	targets, viaRollup := new(Store).planTargets(st, []int{2}, sels)
-	if !viaRollup {
+	s := &Store{dims: dims}
+	targets := planFileTargets(t, s, st, []int{2}, sels)
+	if viaRollup := s.rollupHits.Load() > 0; !viaRollup {
 		t.Fatal("fully covering rollup must be planned in")
 	}
 	// The rollup replaces seg-1 and its query is remapped to the rollup's
@@ -116,27 +153,25 @@ func TestPlanTargetsRollupRemap(t *testing.T) {
 }
 
 func TestInvalidArgsSkipPlanner(t *testing.T) {
-	// A store with a cache routes grouped queries through the planner —
-	// but invalid arguments must take the plain path so the kernel
-	// reports its usual error instead of the planner panicking or
-	// answering a mis-shaped query.
-	store, err := Open(t.TempDir(), Options{
-		Dims:   []string{"A", "B"},
-		NoSync: true, CacheBytes: 1 << 20,
-	})
+	// Invalid arguments must skip rollup substitution and reach the kernel
+	// on every target, so each store reports the kernel's usual error
+	// instead of the planner panicking or answering a mis-shaped query —
+	// whether the store has no cache and no rollups, a cache, or a rollup.
+	dims := []string{"A", "B"}
+	tuples := []dwarf.Tuple{{Dims: []string{"x", "y"}, Measure: 1}, {Dims: []string{"x", "z"}, Measure: 2}}
+	ref, err := dwarf.New(dims, tuples)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer store.Close()
-	if err := store.Append([]dwarf.Tuple{{Dims: []string{"x", "y"}, Measure: 1}}); err != nil {
-		t.Fatal(err)
-	}
-
-	ref, err := dwarf.New([]string{"A", "B"}, []dwarf.Tuple{{Dims: []string{"x", "y"}, Measure: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, run := range map[string]func(q query.Querier) error{
+	cases := map[string]func(q query.Querier) error{
+		"point bad key count": func(q query.Querier) error {
+			_, err := q.Point("x")
+			return err
+		},
+		"range bad selector count": func(q query.Querier) error {
+			_, err := q.Range(make([]dwarf.Selector, 1))
+			return err
+		},
 		"groupby dim out of range": func(q query.Querier) error {
 			_, err := q.GroupBy(7, make([]dwarf.Selector, 2))
 			return err
@@ -153,13 +188,43 @@ func TestInvalidArgsSkipPlanner(t *testing.T) {
 			_, err := q.TopK(-1, make([]dwarf.Selector, 2), dwarf.TopKSpec{K: 1})
 			return err
 		},
+	}
+	for storeName, opts := range map[string]Options{
+		"plain":  {},
+		"cache":  {CacheBytes: 1 << 20},
+		"rollup": {Rollups: [][]string{{"A"}}},
 	} {
-		storeErr, cubeErr := run(store), run(ref)
-		if storeErr == nil {
-			t.Fatalf("%s: store accepted invalid query", name)
+		opts.Dims, opts.NoSync, opts.DisableAutoCompact = dims, true, true
+		store, err := Open(t.TempDir(), opts)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if cubeErr == nil || storeErr.Error() != cubeErr.Error() {
-			t.Fatalf("%s: store error %q, kernel error %q", name, storeErr, cubeErr)
+		defer store.Close()
+		// One tuple sealed (and summarized by the rollup, if any), one live,
+		// so every kind of target runs the invalid query.
+		if err := store.Append(tuples[:1]); err != nil {
+			t.Fatal(err)
+		}
+		if err := store.Seal(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := store.Compact(); err != nil {
+			t.Fatal(err)
+		}
+		if err := store.Append(tuples[1:]); err != nil {
+			t.Fatal(err)
+		}
+		if st := store.Stats(); len(st.Segments) != 1 || len(st.Rollups) != len(opts.Rollups) {
+			t.Fatalf("%s: store shape %+v", storeName, st)
+		}
+		for name, run := range cases {
+			storeErr, cubeErr := run(store), run(ref)
+			if storeErr == nil {
+				t.Fatalf("%s/%s: store accepted invalid query", storeName, name)
+			}
+			if cubeErr == nil || storeErr.Error() != cubeErr.Error() {
+				t.Fatalf("%s/%s: store error %q, kernel error %q", storeName, name, storeErr, cubeErr)
+			}
 		}
 	}
 }

@@ -17,8 +17,9 @@ import (
 // normal builder) unless its manifest entry already covers exactly the
 // live segments. A rollup answers a grouped query only while every file it
 // covers is still live — a compaction that replaced one would otherwise
-// double-count its tuples — so the planner checks Covers against the
-// snapshot and falls back to the plain fan-out when it no longer holds.
+// double-count its tuples — so the plan checks Covers against the
+// snapshot and fans out over the segments themselves when it no longer
+// holds.
 //
 // Commit protocol mirrors seals: rollup file first (an orphan until
 // listed), then the manifest swap under mu, then the replaced file is
@@ -169,7 +170,7 @@ func (r *rollupSeg) canAnswer(grouped []int, sels []dwarf.Selector) bool {
 
 // chooseRollup returns the smallest rollup able to answer a query grouping
 // by grouped under sels whose cover is still a subset of the live segment
-// set, or nil when the plain fan-out must run.
+// set, or nil when the query must fan out over the segments themselves.
 func (st *storeState) chooseRollup(grouped []int, sels []dwarf.Selector) *rollupSeg {
 	if len(st.rollups) == 0 {
 		return nil

@@ -589,63 +589,49 @@ func TestStoreOrphanRemovalSparesForeignFiles(t *testing.T) {
 	}
 }
 
-// TestStoreCompactionPaths drives the same workload through both
-// compaction engines — the streaming zero-copy k-way merge (the happy
-// path, which never decodes a segment) and the forced decode+MergeAll
-// fallback — and holds both stores to the batch-build answers. It also
-// pins the path accounting in Stats.
+// TestStoreCompactionPaths drives a workload through the streaming
+// zero-copy k-way merge, which never decodes a segment, and holds the
+// store to the batch-build answers. It also pins the path accounting in
+// Stats: every compaction is a streaming one.
 func TestStoreCompactionPaths(t *testing.T) {
-	for _, fallback := range []bool{false, true} {
-		name := "streaming"
-		if fallback {
-			name = "fallback"
-		}
-		t.Run(name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(11))
-			s, err := Open(t.TempDir(), Options{
-				Dims:               testDims,
-				SealTuples:         40,
-				CompactFanout:      3,
-				DisableAutoCompact: true,
-				NoSync:             true,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s.Close()
-			s.disableStreamingCompact = fallback
-			var all []dwarf.Tuple
-			for i := 0; i < 12; i++ {
-				batch := randTuples(rng, 40)
-				if err := s.Append(batch); err != nil {
-					t.Fatal(err)
-				}
-				all = append(all, batch...)
-				if err := s.Seal(); err != nil {
-					t.Fatal(err)
-				}
-			}
-			n, err := s.Compact()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if n == 0 {
-				t.Fatal("expected at least one compaction")
-			}
-			st := s.Stats()
-			if st.StreamingCompactions+st.FallbackCompactions != st.Compactions {
-				t.Fatalf("path counters %d+%d disagree with %d compactions",
-					st.StreamingCompactions, st.FallbackCompactions, st.Compactions)
-			}
-			if fallback && st.StreamingCompactions != 0 {
-				t.Fatalf("forced fallback still ran %d streaming compactions", st.StreamingCompactions)
-			}
-			if !fallback && st.FallbackCompactions != 0 {
-				t.Fatalf("happy path fell back %d times: %+v", st.FallbackCompactions, st)
-			}
-			compareStore(t, s, all, nil, rng, true)
+	t.Run("streaming", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(11))
+		s, err := Open(t.TempDir(), Options{
+			Dims:               testDims,
+			SealTuples:         40,
+			CompactFanout:      3,
+			DisableAutoCompact: true,
+			NoSync:             true,
 		})
-	}
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		var all []dwarf.Tuple
+		for i := 0; i < 12; i++ {
+			batch := randTuples(rng, 40)
+			if err := s.Append(batch); err != nil {
+				t.Fatal(err)
+			}
+			all = append(all, batch...)
+			if err := s.Seal(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		n, err := s.Compact()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n == 0 {
+			t.Fatal("expected at least one compaction")
+		}
+		st := s.Stats()
+		if st.StreamingCompactions != st.Compactions {
+			t.Fatalf("path counter %d disagrees with %d compactions",
+				st.StreamingCompactions, st.Compactions)
+		}
+		compareStore(t, s, all, nil, rng, true)
+	})
 }
 
 // TestStoreStreamingCompactionCanonicalBytes: a segment produced by the

@@ -641,7 +641,7 @@ func QueryTopK(src Source, dim int, sels []Selector, spec TopKSpec) ([]GroupEntr
 // by key ascending, iceberg threshold applied before the K cut. It is the
 // single finishing step shared by every TopK path, so single-source and
 // fan-out answers order identically. groups is read, never mutated — the
-// store's planned path and the cluster coordinator both hand it a
+// store's cached read path and the cluster coordinator both hand it a
 // cache-shared map, relying on that.
 func TopKFromGroups(groups map[string]Aggregate, spec TopKSpec) []GroupEntry {
 	out := make([]GroupEntry, 0, len(groups))

@@ -602,8 +602,6 @@ func appendStoreStatsResponse(buf []byte, cube string, st cubestore.Stats) []byt
 	w.int(st.Appended)
 	w.key("streaming_compactions")
 	w.int(st.StreamingCompactions)
-	w.key("fallback_compactions")
-	w.int(st.FallbackCompactions)
 	w.key("cache_hits")
 	w.int(st.CacheHits)
 	w.key("cache_misses")

@@ -233,8 +233,7 @@ func TestEnvelopeEncodersDifferential(t *testing.T) {
 		Segments:     []cubestore.SegmentInfo{{File: "seg-000001.dwarf", Tuples: 100, Level: 1, Bytes: 2048}},
 		SealedTuples: 100, LiveTuples: 3, TotalTuples: 103,
 		SealedBytes: 2048, WALGen: 4, Generation: 17, WALBytes: 96,
-		Seals: 2, Compactions: 1, Appended: 103,
-		StreamingCompactions: 1, FallbackCompactions: 0,
+		Seals: 2, Compactions: 1, Appended: 103, StreamingCompactions: 1,
 		CacheHits: 40, CacheMisses: 2, CachePartialHits: 120, CachePartialMisses: 6,
 		CacheBytes: 1 << 16, CacheEntries: 9, RollupHits: 13,
 		GroupCommits: 42, FsyncsSaved: 61,
