@@ -2,7 +2,9 @@ package cubestore
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -370,5 +372,132 @@ func TestStoreDifferentialInterleavedFolds(t *testing.T) {
 			}
 			compareStore(t, s, all, nil, rng, false)
 		})
+	}
+}
+
+// TestStoreMemtableRunsBounded: a memtable read after every 20-tuple batch
+// holds its tuples as a logarithmic list of encoded runs — at most
+// ⌊log₂ batches⌋ + 1 of them, retaining at most twice the bytes of one
+// batch build — and still seals byte-identical to the batch encoding
+// (integer measures keep the merged sums exact), with or without a tail
+// no read folded. However many runs a memtable holds, the plan reads it
+// as one target.
+func TestStoreMemtableRunsBounded(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Options{
+		Dims:               testDims,
+		SealTuples:         1 << 30, // manual seals only
+		DisableAutoCompact: true,
+		NoSync:             true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	rng := rand.New(rand.NewSource(62))
+	batch := func() []dwarf.Tuple {
+		b := make([]dwarf.Tuple, 20)
+		for i := range b {
+			b[i] = dwarf.Tuple{
+				Dims:    []string{dimKey(0, rng.Intn(100)), dimKey(1, rng.Intn(100)), dimKey(2, rng.Intn(100))},
+				Measure: float64(rng.Intn(9) + 1),
+			}
+		}
+		return b
+	}
+	var all []dwarf.Tuple
+	for b := 1; b <= 160; b++ {
+		tuples := batch()
+		if err := s.Append(tuples); err != nil {
+			t.Fatal(err)
+		}
+		all = append(all, tuples...)
+		if _, err := s.Point(dwarf.All, dwarf.All, dwarf.All); err != nil {
+			t.Fatal(err)
+		}
+		st := s.Stats()
+		if limit := bits.Len(uint(b)); st.MemtableRuns > limit {
+			t.Fatalf("after %d batches the memtable holds %d runs, want at most %d", b, st.MemtableRuns, limit)
+		}
+		batchBytes, err := dwarf.BuildIndexed(testDims, all)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.MemtableRunBytes > 2*int64(len(batchBytes)) {
+			t.Fatalf("after %d batches the runs hold %d bytes, over twice the batch build's %d", b, st.MemtableRunBytes, len(batchBytes))
+		}
+	}
+
+	// Freeze the read memtable with its seal held back, and read a fresh
+	// batch in the live one: the plan is one target per memtable.
+	s.setFailpoint(func(name string) error {
+		if name == fpSealBuilt {
+			return errors.New("seal held")
+		}
+		return nil
+	})
+	s.mu.Lock()
+	err = s.freezeLocked()
+	s.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := batch()
+	if err := s.Append(last); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Point(dwarf.All, dwarf.All, dwarf.All); err != nil {
+		t.Fatal(err)
+	}
+	st, err := s.acquire()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts, err := s.plan(st, nil, nil, []string{dwarf.All, dwarf.All, dwarf.All})
+	st.release()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st.frozen) != 1 || len(ts) != 2 {
+		t.Fatalf("%d frozen memtables planned as %d targets, want 1 frozen + live = 2", len(st.frozen), len(ts))
+	}
+	for i, tg := range ts {
+		if _, ok := tg.src.(*dwarf.Runs); !ok || tg.file != "" {
+			t.Fatalf("target %d reads %T (file %q), want a memtable's *dwarf.Runs", i, tg.src, tg.file)
+		}
+	}
+
+	// A batch no read folds: the live memtable seals as a run plus a tail.
+	tail := batch()
+	if err := s.Append(tail); err != nil {
+		t.Fatal(err)
+	}
+	s.setFailpoint(nil)
+	if err := s.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	segs := s.Stats().Segments
+	if len(segs) != 2 {
+		t.Fatalf("want two sealed segments, have %+v", segs)
+	}
+	for i, tuples := range [][]dwarf.Tuple{all, append(last, tail...)} {
+		got, err := os.ReadFile(filepath.Join(dir, segs[i].File))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := dwarf.New(testDims, tuples)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want bytes.Buffer
+		if err := ref.EncodeIndexed(&want); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("segment %d: read memtable sealed into %d bytes, the batch build encodes to %d", i, len(got), want.Len())
+		}
+	}
+	if st := s.Stats(); st.MemtableRuns != 0 || st.MemtableRunBytes != 0 {
+		t.Fatalf("after sealing everything the memtables still hold %d runs of %d bytes", st.MemtableRuns, st.MemtableRunBytes)
 	}
 }

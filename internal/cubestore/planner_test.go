@@ -83,11 +83,11 @@ func planFileTargets(t *testing.T, s *Store, st *storeState, grouped []int, sels
 	if err != nil {
 		t.Fatal(err)
 	}
-	cube, err := st.mem.Cube()
+	runs, err := st.mem.Runs()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if live := ts[len(ts)-1]; live.src != query.Querier(cube) || live.file != "" || live.remap != nil {
+	if live := ts[len(ts)-1]; live.src != query.Querier(runs) || live.file != "" || live.remap != nil {
 		t.Fatalf("plan must end with the live memtable under the original query: %+v", live)
 	}
 	out := make([]plannedTarget, 0, len(ts)-1)

@@ -13,7 +13,13 @@ import (
 // The read path. The store implements every shape of the shared query
 // surface (query.Querier) with one algorithm: lease a snapshot, plan its
 // fan-out targets, run the unified kernel against each target, and merge
-// the partial results in target order. Aggregate shapes merge with
+// the partial results in target order. Every target reads encoded bytes: a
+// segment or rollup is a mapped CubeView, and a frozen or live memtable is
+// its dwarf.Runs — the encoded runs its folds left, which the plan folds
+// the memtable's unread tail into first. A memtable is one target however
+// many runs it holds: its source walks them serially in run order and
+// merges them exactly as the store merges segments, so the fan-out width
+// stays segments plus memtables. Aggregate shapes merge with
 // dwarf.MergeAggregates; keyed shapes merge per key (dwarf.MergeGroupMaps /
 // dwarf.MergePivotGroups); TopK cuts only after every partial group is in,
 // so a key that is small in every segment but large in total still ranks
@@ -48,7 +54,7 @@ import (
 // surface under the race detector.
 
 // target is one fan-out input: a segment or rollup view, or a frozen or
-// live memtable cube, and the backing file that keys its partials in the
+// live memtable's runs, and the backing file that keys its partials in the
 // cache ("" for a memtable, whose partial is never cached). A rollup runs
 // the query remapped to its own dimensions.
 type target struct {
@@ -100,9 +106,10 @@ func validGroupArgs(dims []int, sels []dwarf.Selector, ndims int) bool {
 // answer: an absent key contributes the zero Aggregate, and merging zero
 // is identity. A rejected rollup means every covered segment's selected
 // slice is empty. Memtables have no zone maps, are never pruned, and count
-// in neither scan counter.
+// in neither scan counter. Each memtable is one target, however many runs
+// it holds.
 func (s *Store) plan(st *storeState, grouped []int, sels []dwarf.Selector, keys []string) ([]target, error) {
-	live, err := st.mem.Cube()
+	live, err := st.mem.Runs()
 	if err != nil {
 		return nil, err
 	}
@@ -146,11 +153,11 @@ func (s *Store) plan(st *storeState, grouped []int, sels []dwarf.Selector, keys 
 	}
 	s.segsScanned.Add(int64(len(ts)))
 	for _, fz := range st.frozen {
-		c, err := fz.mem.Cube()
+		runs, err := fz.mem.Runs()
 		if err != nil {
 			return nil, err
 		}
-		ts = append(ts, target{src: c})
+		ts = append(ts, target{src: runs})
 	}
 	return append(ts, target{src: live}), nil
 }

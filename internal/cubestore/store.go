@@ -3,21 +3,22 @@
 // Concurrent Append callers enqueue validated batches into a commit queue;
 // a single committer goroutine group-commits the queue — every pending
 // record written, one fsync for all of them — then appends each batch to
-// the in-memory dwarf.Incremental memtable, a buffer whose cube is built
-// only when first needed, and releases the waiters. When the memtable
-// reaches a size or age threshold it is frozen: a fresh memtable and a
-// rotated WAL generation are swapped in atomically and the frozen
-// (memtable, generation) pair is handed to a background sealer that builds
-// it straight into an immutable v2 cube segment file and drops the
+// the in-memory dwarf.Incremental memtable, a buffer whose tuples are built
+// into encoded runs only when first read, and releases the waiters. When
+// the memtable reaches a size or age threshold it is frozen: a fresh
+// memtable and a rotated WAL generation are swapped in atomically and the
+// frozen (memtable, generation) pair is handed to a background sealer that
+// builds it straight into an immutable v2 cube segment file and drops the
 // covered WAL generations; a background compactor merges small sealed
 // segments into larger ones with dwarf.MergeViews, leveled by tuple count,
 // committing each transition by atomically swapping the segment manifest.
 // Every query shape runs one plan (read.go): it fans out across every
 // sealed segment's zero-copy CubeView — or a covering rollup in their
 // place — that the zone maps admit, every frozen memtable awaiting its
-// seal, and the live memtable cube, and merges the partial results in
-// that order, so answers always reflect every acknowledged tuple. The
-// result cache, when configured, only reuses what that plan would compute.
+// seal, and the live memtable, each memtable read as its encoded runs, and
+// merges the partial results in that order, so answers always reflect
+// every acknowledged tuple. The result cache, when configured, only reuses
+// what that plan would compute.
 //
 // Recovery invariants (docs/STORE.md spells out the full state machine):
 // an acknowledged tuple lives in exactly one of {a manifest-listed segment,
@@ -151,12 +152,12 @@ type frozenMem struct {
 
 // storeState is the immutable read snapshot queries fan out over. The
 // memtable pointers are shared with the writer — Incremental is internally
-// locked and its standing cube immutable, so readers of an old snapshot
-// keep a complete view while a seal installs the next one. Frozen memtables
-// sit between the sealed segments and the live memtable in fan-out order:
-// when one seals, its cube moves to the end of segs and off the front of
-// frozen, so the merge order of every tuple is stable across the
-// transition.
+// locked and every run list it hands out is immutable, so readers of an old
+// snapshot keep a complete view while a seal installs the next one. Frozen
+// memtables sit between the sealed segments and the live memtable in
+// fan-out order: when one seals, its tuples move to the end of segs and off
+// the front of frozen, so the merge order of every tuple is stable across
+// the transition.
 //
 // refs counts the store's own reference plus one per reader lease; the
 // state's segment and rollup files stay mapped while it is non-zero.
@@ -171,20 +172,23 @@ type storeState struct {
 // Store is a WAL-backed live cube store. All methods are safe for
 // concurrent use. Queries never take the store's writer lock — they read
 // an atomic snapshot. Appends only buffer tuples in the memtable, and a
-// query that finds unfolded memtable tuples folds them into a *Cube itself
-// (dwarf.New, plus MergeAll into what earlier queries folded); concurrent
-// queries wait for the same fold instead of repeating it. In the worst case
-// (a full memtable no query has read yet) a query waits for one build of at
-// most SealTuples tuples — about 0.13 s for 16,384 bike tuples at ~8 µs a
-// tuple. With default options the sealer never builds a *Cube: it writes
-// the segment with Incremental.IndexedBytes, which builds the unfolded
-// tuples straight to bytes (dwarf.BuildIndexed) and merges a folded
-// standing cube in with dwarf.MergeViews. So a query that reaches a
-// never-read frozen memtable while it seals does its own fold, bounded by
-// one seal's tuples, rather than sharing the sealer's. Rollups are built
-// with dwarf.BuildIndexedFromAggregates too. With Workers > 1 or ablation
-// CubeOptions both builds stay on the node path (New, then EncodeIndexed).
-// Appends and compactions never wait for a query's build.
+// query that finds unfolded memtable tuples folds them itself: one
+// dwarf.BuildIndexed of the tail into a new encoded run, merged with the
+// memtable's newer runs by dwarf.MergeViews while they are within 2× in
+// tuples (dwarf.Incremental.Runs), so a fold costs O(tail) amortized and,
+// with default options, builds no *Cube node graph. Concurrent queries
+// wait for the same fold instead of repeating it. In the worst case (a
+// full memtable no query has read yet) a query waits for one build of at
+// most SealTuples tuples. The sealer writes the segment with
+// Incremental.IndexedBytes: the unfolded tuples built straight to bytes
+// and one MergeViews of the runs and that build, so an untouched memtable
+// is exactly one build and a read one seals byte-identical to a batch
+// build (exact sums). A query that reaches a never-read frozen memtable
+// while it seals does its own fold, bounded by one seal's tuples, rather
+// than sharing the sealer's. Rollups are built with
+// dwarf.BuildIndexedFromAggregates too. With Workers > 1 or ablation
+// CubeOptions every build stays on the node path (New, then
+// EncodeIndexed). Appends and compactions never wait for a query's build.
 //
 // Appends do not take mu either: they enqueue onto the commit queue and a
 // single committer goroutine holds mu across each group commit. Only the
@@ -1507,6 +1511,13 @@ type Stats struct {
 	FrozenMemtables int64 `json:"frozen_memtables"`
 	SealQueueDepth  int   `json:"seal_queue_depth"`
 
+	// MemtableRuns and MemtableRunBytes count the encoded runs that reads
+	// have folded the live and frozen memtables into, and their summed
+	// bytes: the memtables' resident encoded size, not counting tuples
+	// still buffered unfolded.
+	MemtableRuns     int   `json:"memtable_runs"`
+	MemtableRunBytes int64 `json:"memtable_run_bytes"`
+
 	// DirSyncErrors counts failed directory syncs after post-commit file
 	// deletions (dead WAL generations, replaced rollups); LastDirSyncError
 	// is the most recent one. Not data loss — surviving files are
@@ -1519,6 +1530,13 @@ type Stats struct {
 	LastSealError    string `json:"last_seal_error,omitempty"`
 	LastCompactError string `json:"last_compact_error,omitempty"`
 	LastDirSyncError string `json:"last_dir_sync_error,omitempty"`
+}
+
+// addRuns adds one memtable's folded runs to the memtable run gauges.
+func (st *Stats) addRuns(mem *dwarf.Incremental) {
+	runs, bytes := mem.RunStats()
+	st.MemtableRuns += runs
+	st.MemtableRunBytes += int64(bytes)
 }
 
 // Stats reports the store's current shape: segment inventory by level, live
@@ -1557,7 +1575,9 @@ func (s *Store) Stats() Stats {
 	}
 	for _, fz := range s.frozen {
 		st.LiveTuples += fz.count
+		st.addRuns(fz.mem)
 	}
+	st.addRuns(s.mem)
 	for _, seg := range s.segs {
 		st.Segments = append(st.Segments, SegmentInfo{
 			File:   seg.meta.File,

@@ -24,7 +24,7 @@ func TestIncrementalEqualsBatchBuild(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	streamed, err := inc.Cube()
+	streamed, err := inc.Runs()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,8 +32,8 @@ func TestIncrementalEqualsBatchBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if streamed.NumSourceTuples() != batch.NumSourceTuples() {
-		t.Errorf("tuples %d != %d", streamed.NumSourceTuples(), batch.NumSourceTuples())
+	if runTuples(streamed) != batch.NumSourceTuples() {
+		t.Errorf("tuples %d != %d", runTuples(streamed), batch.NumSourceTuples())
 	}
 	for q := 0; q < 50; q++ {
 		keys := randomQuery(rng, 3, 8)
@@ -43,14 +43,15 @@ func TestIncrementalEqualsBatchBuild(t *testing.T) {
 			t.Fatalf("query %v: streamed=%v batch=%v", keys, a, b)
 		}
 	}
-	if err := streamed.CheckInvariants(); err != nil {
-		t.Error(err)
+	if len(streamed.data) != 1 {
+		t.Errorf("one fold of a fresh buffer left %d runs, want 1", len(streamed.data))
 	}
 }
 
-// TestIncrementalBuildsOnce: appends only buffer, and the first Cube()
-// folds the whole buffer with one New — so its encoding is byte-identical
-// to a batch build over the same tuples, not a merge of chunk builds.
+// TestIncrementalBuildsOnce: appends only buffer, and the first Runs()
+// folds the whole buffer into one run with one build — so its bytes are
+// identical to a batch build over the same tuples, not a merge of chunk
+// builds.
 func TestIncrementalBuildsOnce(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	dims := []string{"a", "b", "c"}
@@ -69,47 +70,44 @@ func TestIncrementalBuildsOnce(t *testing.T) {
 	if got := inc.Buffered(); got != len(tuples) {
 		t.Fatalf("Buffered after AddBatch = %d, want %d", got, len(tuples))
 	}
-	c, err := inc.Cube()
+	c, err := inc.Runs()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := inc.Buffered(); got != 0 {
-		t.Fatalf("Buffered after Cube = %d, want 0", got)
+		t.Fatalf("Buffered after Runs = %d, want 0", got)
 	}
-	batch, err := New(dims, tuples)
+	if len(c.data) != 1 {
+		t.Fatalf("one fold left %d runs, want 1", len(c.data))
+	}
+	got, err := inc.IndexedBytes()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got, want bytes.Buffer
-	if err := c.EncodeIndexed(&got); err != nil {
-		t.Fatal(err)
+	want := batchIndexed(t, dims, tuples)
+	if !bytes.Equal(got, want) || runBytes(c) != len(want) {
+		t.Fatalf("folded run is %d bytes (IndexedBytes %d), batch build %d: not byte-identical", runBytes(c), len(got), len(want))
 	}
-	if err := batch.EncodeIndexed(&want); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.Bytes(), want.Bytes()) {
-		t.Fatalf("folded cube encodes to %d bytes, batch build to %d: not byte-identical", got.Len(), want.Len())
-	}
-	// A second Cube with nothing buffered hands back the same cube.
-	if again, err := inc.Cube(); err != nil || again != c {
-		t.Fatalf("Cube with an empty buffer = %p, %v; want the standing cube %p", again, err, c)
+	// A second Runs with nothing buffered hands back the same list.
+	if again, err := inc.Runs(); err != nil || again != c {
+		t.Fatalf("Runs with an empty buffer = %p, %v; want the standing list %p", again, err, c)
 	}
 
 	empty, err := NewIncremental(dims)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := empty.Cube()
+	e, err := empty.Runs()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if agg, _ := e.Point(All, All, All); agg.Count != 0 || e.NumSourceTuples() != 0 {
-		t.Fatalf("empty builder's cube = %+v over %d tuples", agg, e.NumSourceTuples())
+	if agg, _ := e.Point(All, All, All); agg.Count != 0 || runTuples(e) != 0 {
+		t.Fatalf("empty builder's cube = %+v over %d tuples", agg, runTuples(e))
 	}
 }
 
 // TestIncrementalIndexedBytes: IndexedBytes writes the batch encoding of
-// every tuple added, whether no Cube call, some, or a full fold came first
+// every tuple added, whether no Runs call, some, or a full fold came first
 // (integer measures, so folded sums are exact), and leaves the buffer as
 // it found it.
 func TestIncrementalIndexedBytes(t *testing.T) {
@@ -124,7 +122,7 @@ func TestIncrementalIndexedBytes(t *testing.T) {
 		}
 		for i := 0; i < len(tuples); i += 50 {
 			if i == foldAt {
-				if _, err := inc.Cube(); err != nil {
+				if _, err := inc.Runs(); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -133,7 +131,7 @@ func TestIncrementalIndexedBytes(t *testing.T) {
 			}
 		}
 		if foldAt == len(tuples) {
-			if _, err := inc.Cube(); err != nil {
+			if _, err := inc.Runs(); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -168,7 +166,7 @@ func TestIncrementalContinuesAfterCube(t *testing.T) {
 		t.Fatal(err)
 	}
 	inc.AddBatch([]Tuple{{Dims: []string{"x"}, Measure: 1}, {Dims: []string{"y"}, Measure: 2}})
-	c1, err := inc.Cube()
+	c1, err := inc.Runs()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +179,7 @@ func TestIncrementalContinuesAfterCube(t *testing.T) {
 	if inc.Buffered() != 1 {
 		t.Errorf("buffered = %d", inc.Buffered())
 	}
-	c2, err := inc.Cube()
+	c2, err := inc.Runs()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,9 +193,9 @@ func TestIncrementalContinuesAfterCube(t *testing.T) {
 }
 
 // TestIncrementalCubeStableAcrossFlushes is the regression test for the
-// Cube() ownership rule: a cube handed out earlier must answer identically
-// after any number of later Adds and flushes, because flushes build new
-// cubes and never mutate shared sub-dwarfs.
+// Runs() ownership rule: a run list handed out earlier must answer
+// identically after any number of later Adds and folds, because folds build
+// and merge into new runs and a new list, never touching one handed out.
 func TestIncrementalCubeStableAcrossFlushes(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	dims := []string{"a", "b", "c"}
@@ -206,9 +204,10 @@ func TestIncrementalCubeStableAcrossFlushes(t *testing.T) {
 		t.Fatal(err)
 	}
 	type snap struct {
-		cube    *Cube
-		queries [][]string
-		answers []Aggregate
+		list        *Runs
+		runs, bytes int
+		queries     [][]string
+		answers     []Aggregate
 	}
 	var snaps []snap
 	tuples := randomTuples(rng, 3, 400, 5)
@@ -217,11 +216,11 @@ func TestIncrementalCubeStableAcrossFlushes(t *testing.T) {
 			t.Fatal(err)
 		}
 		if i%37 == 0 {
-			c, err := inc.Cube()
+			c, err := inc.Runs()
 			if err != nil {
 				t.Fatal(err)
 			}
-			s := snap{cube: c}
+			s := snap{list: c, runs: len(c.data), bytes: runBytes(c)}
 			for q := 0; q < 20; q++ {
 				keys := randomQuery(rng, 3, 6)
 				agg, err := c.Point(keys...)
@@ -234,12 +233,12 @@ func TestIncrementalCubeStableAcrossFlushes(t *testing.T) {
 			snaps = append(snaps, s)
 		}
 	}
-	if _, err := inc.Cube(); err != nil {
+	if _, err := inc.Runs(); err != nil {
 		t.Fatal(err)
 	}
 	for i, s := range snaps {
 		for q, keys := range s.queries {
-			agg, err := s.cube.Point(keys...)
+			agg, err := s.list.Point(keys...)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -248,16 +247,16 @@ func TestIncrementalCubeStableAcrossFlushes(t *testing.T) {
 					i, keys, s.answers[q], agg)
 			}
 		}
-		if err := s.cube.CheckInvariants(); err != nil {
-			t.Errorf("snapshot %d: %v", i, err)
+		if len(s.list.data) != s.runs || runBytes(s.list) != s.bytes {
+			t.Errorf("snapshot %d: %d runs of %d bytes became %d of %d", i, s.runs, s.bytes, len(s.list.data), runBytes(s.list))
 		}
 	}
 }
 
-// TestIncrementalConcurrent exercises Add/AddBatch/Cube/Buffered from many
-// goroutines; run under -race it is the regression test for the field races
-// the pre-lock Incremental had (concurrent Cube() flushing while an Add
-// appends to pending).
+// TestIncrementalConcurrent exercises Add/AddBatch/Runs/IndexedBytes/
+// Buffered from many goroutines; run under -race it is the regression test
+// for the field races the pre-lock Incremental had (concurrent folds while
+// an Add appends to pending).
 func TestIncrementalConcurrent(t *testing.T) {
 	inc, err := NewIncremental([]string{"a", "b"})
 	if err != nil {
@@ -296,7 +295,7 @@ func TestIncrementalConcurrent(t *testing.T) {
 					return
 				default:
 				}
-				c, err := inc.Cube()
+				c, err := inc.Runs()
 				if err != nil {
 					t.Error(err)
 					return
@@ -316,7 +315,7 @@ func TestIncrementalConcurrent(t *testing.T) {
 	wg.Wait()
 	close(stop)
 	readers.Wait()
-	c, err := inc.Cube()
+	c, err := inc.Runs()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,4 +363,142 @@ func TestDumpRendersTree(t *testing.T) {
 	if err := e.Dump(&sb); err != nil || !strings.Contains(sb.String(), "node #") {
 		t.Errorf("empty dump = %q, %v", sb.String(), err)
 	}
+}
+
+// FuzzIncrementalRuns drives random interleavings of AddBatch, Runs and
+// IndexedBytes. After every fold the runs must hold every added tuple,
+// each run more than twice the tuples of the next, and answer a full Pivot
+// and the grand total exactly like one cube over the added tuples; every
+// IndexedBytes must equal a batch BuildIndexed of them. Measures are small
+// integers, so merged sums are exact. The first byte picks 1–4 dimensions;
+// each later op byte picks the op (mod 3) and an AddBatch's size, and an
+// added tuple reads one key byte per dimension plus a signed measure byte.
+func FuzzIncrementalRuns(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{1, 0, 'a', 'b', 3, 1, 2})
+	f.Add([]byte{2, 12, 'a', 'b', 'c', 1, 'b', 'c', 'd', 255, 'a', 'b', 'c', 7, 1, 0, 'e', 'a', 'b', 2, 1, 2, 0, 'c', 'c', 'c', 4, 1, 2})
+	f.Add([]byte{0, 0, 'a', 1, 1, 0, 'b', 2, 1, 0, 'c', 3, 1, 0, 'd', 4, 1, 0, 'e', 5, 1, 2})
+	// Eight tuples, then one: the fold keeps two runs.
+	f.Add([]byte{0, 30, 'a', 1, 'b', 2, 'c', 3, 'd', 4, 'e', 5, 'a', 6, 'b', 7, 'c', 8, 1, 0, 'd', 9, 1, 2, 0, 'a', 1, 2})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ndims := 1
+		if len(data) > 0 {
+			ndims += int(data[0] % 4)
+			data = data[1:]
+		}
+		dims := dimNames(ndims)
+		inc, err := NewIncremental(dims)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var added []Tuple
+		check := func(op byte) {
+			switch op % 3 {
+			case 1:
+				runs, err := inc.Runs()
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkRuns(t, dims, runs, added)
+			case 2:
+				got, err := inc.IndexedBytes()
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := BuildIndexed(dims, added)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Fatalf("IndexedBytes over %d tuples: %d bytes, batch BuildIndexed %d", len(added), len(got), len(want))
+				}
+			}
+		}
+		for len(data) > 0 {
+			op := data[0]
+			data = data[1:]
+			if op%3 != 0 {
+				check(op)
+				continue
+			}
+			var batch []Tuple
+			for n := 1 + int(op>>2)%8; n > 0 && len(data) >= ndims+1; n-- {
+				keys := make([]string, ndims)
+				for d := range keys {
+					keys[d] = string(rune('a' + data[d]%5))
+				}
+				batch = append(batch, Tuple{Dims: keys, Measure: float64(int8(data[ndims]))})
+				data = data[ndims+1:]
+			}
+			if err := inc.AddBatch(batch); err != nil {
+				t.Fatal(err)
+			}
+			added = append(added, batch...)
+		}
+		check(1)
+		check(2)
+	})
+}
+
+// checkRuns holds a fold's run list to the Incremental contract over the
+// tuples added before it.
+func checkRuns(t *testing.T, dims []string, runs *Runs, added []Tuple) {
+	t.Helper()
+	if runTuples(runs) != len(added) {
+		t.Fatalf("runs hold %d tuples, %d were added", runTuples(runs), len(added))
+	}
+	if len(runs.data) > 0 && len(runs.views) != len(runs.data) || (len(runs.data) > 0) != (len(added) > 0) {
+		t.Fatalf("%d runs with %d views over %d tuples", len(runs.data), len(runs.views), len(added))
+	}
+	for i := 1; i < len(runs.data); i++ {
+		if older, newer := runs.views[i-1].NumSourceTuples(), runs.views[i].NumSourceTuples(); older <= 2*newer {
+			t.Fatalf("run %d holds %d tuples, not over twice run %d's %d", i-1, older, i, newer)
+		}
+	}
+	ref, err := New(dims, added)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := make([]string, len(dims))
+	pivot := make([]int, len(dims))
+	for d := range all {
+		all[d], pivot[d] = All, d
+	}
+	sels := make([]Selector, len(dims))
+	got, err := runs.Point(all...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, _ := ref.Point(all...); !got.Equal(want) {
+		t.Fatalf("runs' total %v, batch cube's %v", got, want)
+	}
+	rows, err := runs.Pivot(pivot, sels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.Pivot(pivot, sels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(rows) != fmt.Sprint(want) {
+		t.Fatalf("runs' pivot %v, batch cube's %v", rows, want)
+	}
+}
+
+// runTuples and runBytes total a run list's source tuples and encoded
+// bytes.
+func runTuples(r *Runs) int {
+	n := 0
+	for _, v := range r.views {
+		n += v.NumSourceTuples()
+	}
+	return n
+}
+
+func runBytes(r *Runs) int {
+	n := 0
+	for _, d := range r.data {
+		n += len(d)
+	}
+	return n
 }

@@ -389,11 +389,11 @@ func TestParallelAppendAndIncremental(t *testing.T) {
 	if err := inc.AddBatch(paperTuples()); err != nil {
 		t.Fatal(err)
 	}
-	cube, err := inc.Cube()
+	runs, err := inc.Runs()
 	if err != nil {
 		t.Fatal(err)
 	}
-	ga, _ := cube.Point(All, All, All)
+	ga, _ := runs.Point(All, All, All)
 	gw, _ := want.Point(All, All, All)
 	if !ga.Equal(gw) {
 		t.Errorf("incremental with workers: ALL = %v, want %v", ga, gw)

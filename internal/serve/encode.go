@@ -630,6 +630,10 @@ func appendStoreStatsResponse(buf []byte, cube string, st cubestore.Stats) []byt
 	w.int(st.FrozenMemtables)
 	w.key("seal_queue_depth")
 	w.int(int64(st.SealQueueDepth))
+	w.key("memtable_runs")
+	w.int(int64(st.MemtableRuns))
+	w.key("memtable_run_bytes")
+	w.int(st.MemtableRunBytes)
 	w.key("dir_sync_errors")
 	w.int(st.DirSyncErrors)
 	if st.LastSealError != "" {

@@ -238,6 +238,7 @@ func TestEnvelopeEncodersDifferential(t *testing.T) {
 		CacheBytes: 1 << 16, CacheEntries: 9, RollupHits: 13,
 		GroupCommits: 42, FsyncsSaved: 61,
 		FrozenMemtables: 5, SealQueueDepth: 2, DirSyncErrors: 1,
+		MemtableRuns: 3, MemtableRunBytes: 34567,
 	}
 	check("storestats", appendStoreStatsResponse(nil, "live", sstats),
 		storeStatsResponse{Cube: "live", Stats: sstats})
