@@ -301,11 +301,20 @@ func BenchmarkRangeAndGroupBy(b *testing.B) {
 	})
 }
 
-// BenchmarkIncrementalMerge measures the §7 maintenance primitive: folding
-// one fresh day into a standing week cube.
+// BenchmarkIncrementalMerge measures the §7 maintenance primitive the way
+// the store runs it: build one fresh day straight to bytes, then merge it
+// with the standing week's view.
 func BenchmarkIncrementalMerge(b *testing.B) {
 	b.ReportAllocs()
-	week, err := bench.DatasetCube("Week")
+	weekTuples, err := bench.DatasetTuples("Week")
+	if err != nil {
+		b.Fatal(err)
+	}
+	weekData, err := dwarf.BuildIndexed(smartcity.BikeDims, weekTuples)
+	if err != nil {
+		b.Fatal(err)
+	}
+	week, err := dwarf.OpenViewTrusted(weekData)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -316,7 +325,15 @@ func BenchmarkIncrementalMerge(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := week.Append(tuples); err != nil {
+		data, err := dwarf.BuildIndexed(smartcity.BikeDims, tuples)
+		if err != nil {
+			b.Fatal(err)
+		}
+		v, err := dwarf.OpenViewTrusted(data)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, _, err := dwarf.MergeViewsBytes(week, v); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -633,10 +650,8 @@ func BenchmarkServePointQuery(b *testing.B) {
 }
 
 // BenchmarkCompactSegments measures the store's steady-state maintenance
-// path — merging k sealed segments into one — both ways: the seed's
-// decode + pairwise Merge + re-encode, and the streaming zero-copy k-way
-// MergeViews. allocs/op is the headline: the streaming path never
-// materializes a node graph.
+// path: merging k sealed segments into one with the streaming zero-copy
+// k-way MergeViews, which never materializes a node graph.
 func BenchmarkCompactSegments(b *testing.B) {
 	b.ReportAllocs()
 	tuples, err := bench.DatasetTuples("Day")
@@ -647,38 +662,10 @@ func BenchmarkCompactSegments(b *testing.B) {
 	segments := make([][]byte, parts)
 	for i := 0; i < parts; i++ {
 		lo, hi := i*len(tuples)/parts, (i+1)*len(tuples)/parts
-		c, err := dwarf.New(smartcity.BikeDims, tuples[lo:hi])
-		if err != nil {
+		if segments[i], err = dwarf.BuildIndexed(smartcity.BikeDims, tuples[lo:hi]); err != nil {
 			b.Fatal(err)
 		}
-		var buf bytes.Buffer
-		if err := c.EncodeIndexed(&buf); err != nil {
-			b.Fatal(err)
-		}
-		segments[i] = buf.Bytes()
 	}
-	b.Run("decode-pairwise", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			merged, err := dwarf.DecodeBytes(segments[0])
-			if err != nil {
-				b.Fatal(err)
-			}
-			for _, seg := range segments[1:] {
-				c, err := dwarf.DecodeBytes(seg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if merged, err = dwarf.Merge(merged, c); err != nil {
-					b.Fatal(err)
-				}
-			}
-			var buf bytes.Buffer
-			if err := merged.EncodeIndexed(&buf); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	b.Run("streaming-kway", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

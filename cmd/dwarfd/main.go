@@ -75,7 +75,6 @@ func main() {
 		"comma-separated dimension list for a newly created -live store")
 	sealTuples := flag.Int("seal", cubestore.DefaultSealTuples, "live store: memtable tuples per sealed segment")
 	sealAge := flag.Duration("seal-age", time.Minute, "live store: seal a non-empty memtable after this age (0 disables)")
-	workers := flag.Int("workers", 1, "live store: shard workers for memtable builds and seals")
 	cacheBytes := flag.Int64("cache-bytes", 64<<20,
 		"live store: hot-result query cache budget in bytes (0 disables)")
 	clusterNode := flag.Bool("cluster-node", false,
@@ -132,7 +131,6 @@ func main() {
 			Dims:       dimList,
 			SealTuples: *sealTuples,
 			SealAge:    *sealAge,
-			Workers:    *workers,
 			CacheBytes: *cacheBytes,
 			Rollups:    rollups,
 		})

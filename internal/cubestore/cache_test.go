@@ -19,27 +19,30 @@ import (
 // compareStore already holds equal to a batch cube — across arbitrary
 // interleavings of Append/Seal/Compact, cold and warm.
 
-func cacheTestOptions(workers int) Options {
+func cacheTestOptions() Options {
 	return Options{
 		Dims:               testDims,
 		SealTuples:         96,
 		CompactFanout:      3,
 		DisableAutoCompact: true,
 		NoSync:             true,
-		Workers:            workers,
 		CacheBytes:         4 << 20,
 		Rollups:            [][]string{{"A"}, {"B", "C"}},
 	}
 }
 
+// Each subtest runs the store's one construction path over its own
+// random sequence; its name is the worker count of the batch cube the
+// answers are held to.
 func TestStoreCacheDifferential(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		workers := workers
 		t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {
 			t.Parallel()
+			ref := []dwarf.Option{dwarf.WithWorkers(workers)}
 			rng := rand.New(rand.NewSource(int64(7000 + workers)))
 			dir := t.TempDir()
-			s, err := Open(dir, cacheTestOptions(workers))
+			s, err := Open(dir, cacheTestOptions())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -66,13 +69,13 @@ func TestStoreCacheDifferential(t *testing.T) {
 					// query battery, now answered from the result cache and
 					// cached partials, and must stay bit-identical.
 					seed := rng.Int63()
-					compareStore(t, s, all, nil, rand.New(rand.NewSource(seed)), false)
-					compareStore(t, s, all, nil, rand.New(rand.NewSource(seed)), false)
+					compareStore(t, s, all, ref, rand.New(rand.NewSource(seed)), false)
+					compareStore(t, s, all, ref, rand.New(rand.NewSource(seed)), false)
 				}
 			}
 			seed := rng.Int63()
-			compareStore(t, s, all, nil, rand.New(rand.NewSource(seed)), true)
-			compareStore(t, s, all, nil, rand.New(rand.NewSource(seed)), true)
+			compareStore(t, s, all, ref, rand.New(rand.NewSource(seed)), true)
+			compareStore(t, s, all, ref, rand.New(rand.NewSource(seed)), true)
 			st := s.Stats()
 			if st.CacheHits == 0 || st.CachePartialHits == 0 {
 				t.Fatalf("warm replay never hit the cache: %+v", st)
@@ -86,14 +89,14 @@ func TestStoreCacheDifferential(t *testing.T) {
 
 			// Reopen with the same cache/rollup config: manifest rollups
 			// reload and the planned path still matches the batch cube.
-			s2, err := Open(dir, cacheTestOptions(workers))
+			s2, err := Open(dir, cacheTestOptions())
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer s2.Close()
 			seed = rng.Int63()
-			compareStore(t, s2, all, nil, rand.New(rand.NewSource(seed)), true)
-			compareStore(t, s2, all, nil, rand.New(rand.NewSource(seed)), true)
+			compareStore(t, s2, all, ref, rand.New(rand.NewSource(seed)), true)
+			compareStore(t, s2, all, ref, rand.New(rand.NewSource(seed)), true)
 		})
 	}
 }
@@ -104,7 +107,7 @@ func TestStoreCacheDifferential(t *testing.T) {
 // than the cached answer.
 func TestStoreCacheNoStaleReads(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	s, err := Open(t.TempDir(), cacheTestOptions(1))
+	s, err := Open(t.TempDir(), cacheTestOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -471,7 +474,7 @@ func TestKickSealsAgedMemtable(t *testing.T) {
 // cache after every acked batch, and the final state is held equal to a
 // batch cube.
 func TestStoreCacheConcurrent(t *testing.T) {
-	opts := cacheTestOptions(2)
+	opts := cacheTestOptions()
 	opts.DisableAutoCompact = false
 	opts.SealTuples = 120
 	s, err := Open(t.TempDir(), opts)

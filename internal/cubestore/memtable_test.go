@@ -16,6 +16,7 @@ import (
 	"weak"
 
 	"repro/internal/dwarf"
+	"repro/internal/smartcity"
 )
 
 // Memtable suite: appends only buffer tuples, and a memtable's cube is
@@ -25,10 +26,11 @@ import (
 // live and frozen memtables at arbitrary points between appends and seals.
 
 // TestStoreSealBuildsOnce: a memtable no query touched before its seal is
-// built by exactly one dwarf.New over its tuples, so the segment it seals
-// into is byte-identical to the batch build's encoding (a chunked build
-// folded by MergeAll would encode larger: nodes are not shared across
-// merge inputs).
+// built by exactly one BuildIndexed over its buffered tuples, so the
+// segment it seals into is the batch build's encoding. Each subtest runs
+// its own random sequence; its name is the worker count of the batch build
+// the segment is compared with, since a sharded build encodes the same
+// bytes as a serial one.
 func TestStoreSealBuildsOnce(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {
@@ -38,7 +40,6 @@ func TestStoreSealBuildsOnce(t *testing.T) {
 				SealTuples:         1 << 30, // manual seals only
 				DisableAutoCompact: true,
 				NoSync:             true,
-				Workers:            workers,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -46,9 +47,8 @@ func TestStoreSealBuildsOnce(t *testing.T) {
 			defer s.Close()
 			rng := rand.New(rand.NewSource(int64(60 + workers)))
 			var all []dwarf.Tuple
-			// Thousands of tuples with wider keys than randTuples: over the
-			// tiny test domain a merge of partial builds happens to encode
-			// identically, which would hide a chunked build.
+			// Thousands of tuples with wider keys than randTuples, so the
+			// segment holds thousands of nodes.
 			for b := 0; b < 50; b++ {
 				batch := make([]dwarf.Tuple, 100+rng.Intn(50))
 				for i := range batch {
@@ -79,7 +79,7 @@ func TestStoreSealBuildsOnce(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref, err := dwarf.New(testDims, all)
+			ref, err := dwarf.New(testDims, all, dwarf.WithWorkers(workers))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -95,11 +95,10 @@ func TestStoreSealBuildsOnce(t *testing.T) {
 }
 
 // TestStoreFoldedSealCanonical: a memtable that queries folded after
-// every batch (MergeAll into the standing cube each time) still seals into
-// the batch build's canonical bytes, not the larger encoding of the folded
-// cube. Integer measures keep the folded sums exact; 100 keys a dimension
-// make the folded cube miss sharing a batch build finds (over 24 keys the
-// two happen to encode alike).
+// every batch (a new run each time, merged down with MergeViews) still
+// seals into the batch build's canonical bytes. Integer measures keep the
+// folded sums exact; 100 keys a dimension give the batch build sharing
+// that a merge which skipped hash-consing across runs would miss.
 func TestStoreFoldedSealCanonical(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, Options{
@@ -499,5 +498,52 @@ func TestStoreMemtableRunsBounded(t *testing.T) {
 	}
 	if st := s.Stats(); st.MemtableRuns != 0 || st.MemtableRunBytes != 0 {
 		t.Fatalf("after sealing everything the memtables still hold %d runs of %d bytes", st.MemtableRuns, st.MemtableRunBytes)
+	}
+}
+
+// TestStoreRunBytesCountViewIndex: the run gauge counts what a run's view
+// holds on the heap beside the encoded bytes. After a GroupBy the folded
+// run's view carries its node offsets (8 B a node) and fanout side-index
+// (14 B a node plus 4 B a cell).
+func TestStoreRunBytesCountViewIndex(t *testing.T) {
+	s, err := Open(t.TempDir(), Options{
+		Dims:               smartcity.BikeDims,
+		SealTuples:         1 << 30, // manual seals only
+		DisableAutoCompact: true,
+		NoSync:             true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	tuples := make([]dwarf.Tuple, 16384)
+	for i, r := range smartcity.NewBikeFeed(smartcity.BikeConfig{Seed: 3}).Take(len(tuples)) {
+		tuples[i] = r.Tuple()
+	}
+	if err := s.Append(tuples); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.GroupBy(5, make([]dwarf.Selector, len(smartcity.BikeDims))); err != nil {
+		t.Fatal(err)
+	}
+	data, err := dwarf.BuildIndexed(smartcity.BikeDims, tuples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := dwarf.OpenView(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vs, err := v.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := s.Stats()
+	if st.MemtableRuns != 1 {
+		t.Fatalf("one fold left %d runs", st.MemtableRuns)
+	}
+	if min := int64(len(data) + 12*vs.Nodes); st.MemtableRunBytes < min {
+		t.Fatalf("run gauge %d B, want at least %d B encoded + 12 B a node for %d nodes = %d",
+			st.MemtableRunBytes, len(data), vs.Nodes, min)
 	}
 }

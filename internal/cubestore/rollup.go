@@ -314,7 +314,7 @@ func (s *Store) swapRollup(spec rollupSpec, segs []*segment, cover []string) err
 	for i := range rows {
 		tuples[i] = dwarf.AggTuple{Dims: rows[i].Keys, Agg: rows[i].Agg}
 	}
-	data, err := dwarf.BuildIndexedFromAggregates(spec.names, tuples, s.opts.cubeOptions()...)
+	data, err := dwarf.BuildIndexedFromAggregates(spec.names, tuples)
 	if err != nil {
 		return err
 	}

@@ -77,11 +77,6 @@ type Options struct {
 	// NoSync skips the per-Append fsync. Throughput tests only: a crash may
 	// lose acknowledged tuples.
 	NoSync bool
-	// Workers shards memtable builds (dwarf.WithWorkers).
-	Workers int
-	// CubeOptions are extra construction options (ablation switches)
-	// applied to every memtable build and seal.
-	CubeOptions []dwarf.Option
 	// CacheBytes bounds the hot-result query cache (internal/qcache): full
 	// GroupBy/Pivot/TopK answers stamped with the store generation, plus
 	// never-stale per-segment partials. 0 disables caching.
@@ -113,15 +108,6 @@ func (o Options) withDefaults() Options {
 		o.MaxFrozen = DefaultMaxFrozen
 	}
 	return o
-}
-
-// cubeOptions is the option list for every cube the store builds.
-func (o Options) cubeOptions() []dwarf.Option {
-	opts := append([]dwarf.Option(nil), o.CubeOptions...)
-	if o.Workers > 1 {
-		opts = append(opts, dwarf.WithWorkers(o.Workers))
-	}
-	return opts
 }
 
 // segment is one sealed, immutable cube segment: its manifest entry, its
@@ -175,8 +161,8 @@ type storeState struct {
 // query that finds unfolded memtable tuples folds them itself: one
 // dwarf.BuildIndexed of the tail into a new encoded run, merged with the
 // memtable's newer runs by dwarf.MergeViews while they are within 2× in
-// tuples (dwarf.Incremental.Runs), so a fold costs O(tail) amortized and,
-// with default options, builds no *Cube node graph. Concurrent queries
+// tuples (dwarf.Incremental.Runs), so a fold costs O(tail) amortized and
+// builds no *Cube node graph. Concurrent queries
 // wait for the same fold instead of repeating it. In the worst case (a
 // full memtable no query has read yet) a query waits for one build of at
 // most SealTuples tuples. The sealer writes the segment with
@@ -186,9 +172,8 @@ type storeState struct {
 // build (exact sums). A query that reaches a never-read frozen memtable
 // while it seals does its own fold, bounded by one seal's tuples, rather
 // than sharing the sealer's. Rollups are built with
-// dwarf.BuildIndexedFromAggregates too. With Workers > 1 or ablation
-// CubeOptions every build stays on the node path (New, then
-// EncodeIndexed). Appends and compactions never wait for a query's build.
+// dwarf.BuildIndexedFromAggregates too. Appends and compactions never
+// wait for a query's build.
 //
 // Appends do not take mu either: they enqueue onto the commit queue and a
 // single committer goroutine holds mu across each group commit. Only the
@@ -558,7 +543,7 @@ func (s *Store) openSegments() error {
 // memtable, then rotates to a new generation so appends never extend a file
 // that may end in a torn record.
 func (s *Store) recoverWAL() error {
-	mem, err := dwarf.NewIncremental(s.dims, s.opts.cubeOptions()...)
+	mem, err := dwarf.NewIncremental(s.dims)
 	if err != nil {
 		return err
 	}
@@ -848,7 +833,7 @@ func (s *Store) freezeLocked() error {
 	if s.memCount == 0 {
 		return nil
 	}
-	mem, err := dwarf.NewIncremental(s.dims, s.opts.cubeOptions()...)
+	mem, err := dwarf.NewIncremental(s.dims)
 	if err != nil {
 		return err
 	}
@@ -1512,9 +1497,10 @@ type Stats struct {
 	SealQueueDepth  int   `json:"seal_queue_depth"`
 
 	// MemtableRuns and MemtableRunBytes count the encoded runs that reads
-	// have folded the live and frozen memtables into, and their summed
-	// bytes: the memtables' resident encoded size, not counting tuples
-	// still buffered unfolded.
+	// have folded the live and frozen memtables into, and the bytes they
+	// hold: each run's encoded bytes plus its view's heap index (node
+	// offsets, and the fanout side-index once a query or merge has built
+	// it). Tuples still buffered unfolded are not counted.
 	MemtableRuns     int   `json:"memtable_runs"`
 	MemtableRunBytes int64 `json:"memtable_run_bytes"`
 

@@ -19,9 +19,10 @@ import (
 
 // Differential suite: a store built by arbitrary interleavings of
 // Append/Seal/Compact must answer every query shape identically to one
-// dwarf.New batch build over the same tuples, under every ablation option
-// set and worker count. Measures are small integers so sums are exact in
-// float64 regardless of the order partial aggregates merge in.
+// dwarf.New batch build over the same tuples, whatever ablation options
+// and worker count that batch build uses. Measures are small integers so
+// sums are exact in float64 regardless of the order partial aggregates
+// merge in.
 
 var testDims = []string{"A", "B", "C"}
 var testDimSizes = []int{3, 4, 5}
@@ -244,10 +245,13 @@ func comparePivot(t *testing.T, label string, got, want []dwarf.PivotGroup) {
 	}
 }
 
+// Each subtest runs the store's one construction path over its own
+// random sequence; its name is the configuration of the batch cube the
+// answers are held to.
 func TestStoreDifferential(t *testing.T) {
 	for ai, opts := range ablationSets() {
 		for _, workers := range []int{1, 4} {
-			opts, workers := opts, workers
+			ref := append(append([]dwarf.Option(nil), opts...), dwarf.WithWorkers(workers))
 			t.Run(fmt.Sprintf("ablation%d/workers%d", ai, workers), func(t *testing.T) {
 				t.Parallel()
 				rng := rand.New(rand.NewSource(int64(100*ai + workers)))
@@ -258,8 +262,6 @@ func TestStoreDifferential(t *testing.T) {
 					CompactFanout:      3,
 					DisableAutoCompact: true,
 					NoSync:             true,
-					Workers:            workers,
-					CubeOptions:        opts,
 				}
 				s, err := Open(dir, storeOpts)
 				if err != nil {
@@ -284,10 +286,10 @@ func TestStoreDifferential(t *testing.T) {
 						all = append(all, batch...)
 					}
 					if step%9 == 0 {
-						compareStore(t, s, all, opts, rng, false)
+						compareStore(t, s, all, ref, rng, false)
 					}
 				}
-				compareStore(t, s, all, opts, rng, true)
+				compareStore(t, s, all, ref, rng, true)
 				st := s.Stats()
 				if st.TotalTuples != len(all) || st.SealedTuples+st.LiveTuples != len(all) {
 					t.Fatalf("stats %+v inconsistent with %d appended", st, len(all))
@@ -303,14 +305,12 @@ func TestStoreDifferential(t *testing.T) {
 					CompactFanout:      storeOpts.CompactFanout,
 					DisableAutoCompact: true,
 					NoSync:             true,
-					Workers:            workers,
-					CubeOptions:        opts,
 				})
 				if err != nil {
 					t.Fatal(err)
 				}
 				defer s2.Close()
-				compareStore(t, s2, all, opts, rng, true)
+				compareStore(t, s2, all, ref, rng, true)
 			})
 		}
 	}

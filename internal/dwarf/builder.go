@@ -57,20 +57,15 @@ func WithWorkers(n int) Option {
 	return func(o *Options) { o.Workers = n }
 }
 
-// Cube is a built DWARF cube. Cubes are immutable after construction; Merge
-// and Append return new cubes that may share sub-structure with their
-// inputs.
+// Cube is a built DWARF cube. Cubes are immutable after construction.
 type Cube struct {
 	dims      []string
 	root      *Node
-	opts      Options
 	numTuples int
 	// FromQuery mirrors the paper's is_cube flag: true when this cube was
 	// produced by querying/extracting from another DWARF rather than built
 	// directly from source tuples.
 	FromQuery bool
-
-	nextSeq int64
 }
 
 // Validation errors returned by New and related constructors.
@@ -184,13 +179,11 @@ func NewFromAggregates(dims []string, tuples []AggTuple, opts ...Option) (*Cube,
 	// Renumber nodes in a structure-determined order so that any two builds
 	// of the same facts — serial or parallel, any worker count — carry
 	// identical sequence ids and render identical Dumps.
-	nextSeq := renumber(root)
+	renumber(root)
 	return &Cube{
 		dims:      append([]string(nil), dims...),
 		root:      root,
-		opts:      o,
 		numTuples: numTuples,
-		nextSeq:   nextSeq,
 	}, nil
 }
 
@@ -447,8 +440,8 @@ func (b *builder) canonicalize(n *Node) *Node {
 // nodeHash computes the bucket hash of a closed node. Child identity is
 // hashed through the child's seq: canonical children of equal structure are
 // the same pointer and so carry the same seq, which is all correctness
-// needs — seq collisions between nodes of different shard builders (or of
-// Merge's two input cubes) merely cost an extra exact compare.
+// needs — seq collisions between nodes of different shard builders merely
+// cost an extra exact compare.
 func (b *builder) nodeHash(n *Node) uint64 {
 	var h maphash.Hash
 	h.SetSeed(b.seed)
@@ -555,9 +548,8 @@ func (b *builder) recanon(n *Node, memo map[*Node]*Node) *Node {
 // renumber assigns sequence ids by a deterministic depth-first walk (cells
 // in key order, ALL last — Dump's traversal), numbering each distinct node
 // on first visit. Construction order — and therefore worker count — stops
-// mattering: structurally identical cubes get identical ids. Returns the
-// highest id assigned.
-func renumber(root *Node) int64 {
+// mattering: structurally identical cubes get identical ids.
+func renumber(root *Node) {
 	var seq int64
 	seen := make(map[*Node]bool)
 	var walk func(n *Node)
@@ -574,7 +566,6 @@ func renumber(root *Node) int64 {
 		walk(n.AllChild)
 	}
 	walk(root)
-	return seq
 }
 
 // deepCopy clones an entire sub-dwarf with no sharing (ablation support).

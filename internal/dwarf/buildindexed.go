@@ -3,37 +3,25 @@ package dwarf
 import "unsafe"
 
 // BuildIndexed constructs the cube of tuples and returns it in the
-// EncodeIndexed format. It validates like New, and its bytes always equal
-// New(dims, tuples, opts...).EncodeIndexed, float sums included. With
-// default options no *Node graph is built: BuildIndexed runs New's sorted
-// scan with the same duplicate fold and closes every node straight into a
-// record through the emitter MergeViews uses. Each ALL cell is one k-way
-// merge of the node's already-emitted children, read back from the output
-// itself, with the inputs and left-fold order of suffixCoalesce. Ablation
-// options and WithWorkers build the node graph with New and encode it.
-// Stores use it wherever a fresh build goes straight to a file.
-func BuildIndexed(dims []string, tuples []Tuple, opts ...Option) ([]byte, error) {
+// EncodeIndexed format. It validates like New, and its bytes equal
+// New(dims, tuples).EncodeIndexed, float sums included. No *Node graph is
+// built: BuildIndexed runs New's sorted scan with the same duplicate fold
+// and closes every node straight into a record through the emitter
+// MergeViews uses. Each ALL cell is one k-way merge of the node's
+// already-emitted children, read back from the output itself, with the
+// inputs and left-fold order of suffixCoalesce. Stores use it wherever a
+// fresh build goes straight to a file.
+func BuildIndexed(dims []string, tuples []Tuple) ([]byte, error) {
 	ats, err := aggTuples(dims, tuples)
 	if err != nil {
 		return nil, err
 	}
-	return BuildIndexedFromAggregates(dims, ats, opts...)
+	return BuildIndexedFromAggregates(dims, ats)
 }
 
 // BuildIndexedFromAggregates is BuildIndexed over pre-aggregated facts,
 // the counterpart of NewFromAggregates.
-func BuildIndexedFromAggregates(dims []string, tuples []AggTuple, opts ...Option) ([]byte, error) {
-	var o Options
-	for _, fn := range opts {
-		fn(&o)
-	}
-	if o.DisableSuffixCoalescing || o.DisableHashConsing || o.Workers > 1 {
-		c, err := NewFromAggregates(dims, tuples, opts...)
-		if err != nil {
-			return nil, err
-		}
-		return c.encodeIndexed(), nil
-	}
+func BuildIndexedFromAggregates(dims []string, tuples []AggTuple) ([]byte, error) {
 	numTuples, err := validateAggTuples(dims, tuples)
 	if err != nil {
 		return nil, err

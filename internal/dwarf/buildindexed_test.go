@@ -30,10 +30,10 @@ func floatTuples(rng *rand.Rand, ndims, n, card int) []Tuple {
 // checkBuildIndexed holds BuildIndexed to New(...).EncodeIndexed: the same
 // error for input New rejects, the same bytes otherwise, and a stream that
 // passes VerifyEncoded and opens with OpenView.
-func checkBuildIndexed(t *testing.T, dims []string, tuples []Tuple, opts ...Option) {
+func checkBuildIndexed(t *testing.T, dims []string, tuples []Tuple) {
 	t.Helper()
-	got, err := BuildIndexed(dims, tuples, opts...)
-	ref, refErr := New(dims, tuples, opts...)
+	got, err := BuildIndexed(dims, tuples)
+	ref, refErr := New(dims, tuples)
 	if refErr != nil || err != nil {
 		if refErr == nil || err == nil || err.Error() != refErr.Error() {
 			t.Fatalf("BuildIndexed error %v, New error %v", err, refErr)
@@ -68,8 +68,6 @@ func TestBuildIndexedMatchesNew(t *testing.T) {
 		}
 		t.Run(fmt.Sprintf("seed%d/dims%d/n%d", seed, ndims, n), func(t *testing.T) {
 			checkBuildIndexed(t, dimNames(ndims), tuples)
-			// Options the streaming path does not cover build through New.
-			checkBuildIndexed(t, dimNames(ndims), tuples, WithWorkers(1+int(seed%4)), WithoutHashConsing())
 		})
 	}
 	checkBuildIndexed(t, []string{"a", "b"}, nil)

@@ -523,6 +523,5 @@ func decodeBody(v1 []byte, h viewHeader) (*Cube, error) {
 		root:      root,
 		numTuples: int(h.numTuples),
 		FromQuery: h.fromQuery,
-		nextSeq:   int64(h.nodeCount),
 	}, nil
 }

@@ -58,12 +58,15 @@ func ExampleCube_GroupBy() {
 	// Cork: 2
 }
 
-func ExampleMerge() {
+func ExampleMergeViewsBytes() {
 	dims := []string{"Day", "Station"}
-	monday, _ := dwarf.New(dims, []dwarf.Tuple{{Dims: []string{"mon", "s1"}, Measure: 4}})
-	tuesday, _ := dwarf.New(dims, []dwarf.Tuple{{Dims: []string{"tue", "s1"}, Measure: 6}})
-	both, _ := dwarf.Merge(monday, tuesday)
-	agg, _ := both.Point(dwarf.All, "s1")
+	monday, _ := dwarf.BuildIndexed(dims, []dwarf.Tuple{{Dims: []string{"mon", "s1"}, Measure: 4}})
+	tuesday, _ := dwarf.BuildIndexed(dims, []dwarf.Tuple{{Dims: []string{"tue", "s1"}, Measure: 6}})
+	mv, _ := dwarf.OpenView(monday)
+	tv, _ := dwarf.OpenView(tuesday)
+	both, _, _ := dwarf.MergeViewsBytes(mv, tv)
+	view, _ := dwarf.OpenView(both)
+	agg, _ := view.Point(dwarf.All, "s1")
 	fmt.Println(agg.Sum, agg.Count)
 	// Output: 10 2
 }

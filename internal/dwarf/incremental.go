@@ -17,8 +17,7 @@ import "sync"
 // straight to bytes with BuildIndexed and is merged with the runs through
 // one MergeViews. A buffer never read before its IndexedBytes is
 // therefore constructed exactly once, and byte-identically to New over the
-// same tuples. Construction options (ablations, WithWorkers) apply to every
-// run build. The zero value is not usable; call NewIncremental.
+// same tuples. The zero value is not usable; call NewIncremental.
 //
 // An Incremental is safe for concurrent use: Add, AddBatch, Runs,
 // IndexedBytes and Buffered may be called from multiple goroutines. Folds
@@ -31,7 +30,6 @@ import "sync"
 // appending.
 type Incremental struct {
 	dims []string
-	opts []Option
 	// fold serializes Runs calls, so at most one build runs at a time.
 	fold sync.Mutex
 	// mu guards pending and runs; it is never held across a build.
@@ -42,8 +40,8 @@ type Incremental struct {
 }
 
 // NewIncremental creates a streaming builder over dims.
-func NewIncremental(dims []string, opts ...Option) (*Incremental, error) {
-	data, err := BuildIndexed(dims, nil, opts...)
+func NewIncremental(dims []string) (*Incremental, error) {
+	data, err := BuildIndexed(dims, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -53,7 +51,6 @@ func NewIncremental(dims []string, opts ...Option) (*Incremental, error) {
 	}
 	return &Incremental{
 		dims: append([]string(nil), dims...),
-		opts: opts,
 		runs: &Runs{views: []*CubeView{empty}},
 	}, nil
 }
@@ -102,7 +99,7 @@ func (inc *Incremental) Runs() (*Runs, error) {
 	}
 	// AddBatch only ever appends past len(tail), so reading tail while
 	// appends continue is safe.
-	data, err := BuildIndexed(inc.dims, tail, inc.opts...)
+	data, err := BuildIndexed(inc.dims, tail)
 	if err != nil {
 		return nil, err
 	}
@@ -137,7 +134,7 @@ func (inc *Incremental) IndexedBytes() ([]byte, error) {
 	inc.mu.Unlock()
 	views := prev.views[:len(prev.data):len(prev.data)]
 	if len(views) == 0 || len(tail) > 0 {
-		out, err := BuildIndexed(inc.dims, tail, inc.opts...)
+		out, err := BuildIndexed(inc.dims, tail)
 		if err != nil || len(views) == 0 {
 			return out, err
 		}
@@ -162,16 +159,17 @@ func (inc *Incremental) Buffered() int {
 	return len(inc.pending)
 }
 
-// RunStats reports the folded runs and their summed encoded bytes,
-// without folding.
+// RunStats reports the folded runs and the bytes they hold: each run's
+// encoded bytes plus its view's heap index (CubeView.heapBytes), without
+// folding.
 func (inc *Incremental) RunStats() (runs, bytes int) {
 	inc.mu.Lock()
-	data := inc.runs.data
+	r := inc.runs
 	inc.mu.Unlock()
-	for _, d := range data {
-		bytes += len(d)
+	for i, d := range r.data {
+		bytes += len(d) + r.views[i].heapBytes()
 	}
-	return len(data), bytes
+	return len(r.data), bytes
 }
 
 // Dims returns the builder's dimension names in order.

@@ -32,8 +32,7 @@ import (
 // arithmetic is exact (integer-valued measures; with general floats the
 // structure is still identical and only sum association may differ) and the
 // inputs are base cubes — merging query-derived inputs keeps the FromQuery
-// header flag set, exactly as MergeAll does, where a batch build of raw
-// facts would clear it. Inputs built with ablation options merge fine — the
+// header flag set, where a batch build of raw facts would clear it. Inputs built with ablation options merge fine — the
 // output is re-canonicalized regardless of how the inputs were compressed.
 
 // ErrMergeTooLarge reports a merged stream that cannot carry the u32 offset

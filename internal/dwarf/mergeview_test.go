@@ -241,100 +241,71 @@ func TestMergeViewsFromQueryFlag(t *testing.T) {
 	if !merged.FromQuery {
 		t.Error("FromQuery flag lost in merge")
 	}
-	// Both engines apply the same flag rule, so the streaming path and the
-	// decode+MergeAll fallback emit identical bytes for the same inputs.
-	inMem, err := MergeAll(c, c)
+	// The output is the union's batch build with the flag applied.
+	union, err := New([]string{"a"}, []Tuple{{Dims: []string{"x"}, Measure: 1}, {Dims: []string{"x"}, Measure: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !inMem.FromQuery {
-		t.Error("MergeAll dropped the FromQuery flag")
-	}
-	var reenc bytes.Buffer
-	if err := inMem.EncodeIndexed(&reenc); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(out, reenc.Bytes()) {
-		t.Error("streaming merge and MergeAll+EncodeIndexed disagree for FromQuery inputs")
+	union.FromQuery = true
+	if want := encodeFor(t, union, true); !bytes.Equal(out, want) {
+		t.Error("merge of FromQuery inputs differs from the flagged union build")
 	}
 }
 
-// TestMergeAllMatchesBatch: the k-way in-memory merge answers exactly like
-// a batch build of the union, for every ablation set, and shares the same
-// left-fold aggregate order as a pairwise Merge chain (bit-identical sums
-// even with fractional measures).
-func TestMergeAllMatchesBatch(t *testing.T) {
+// TestMergeViewsKWayMatchesPairwise: one k-way merge folds aggregates in
+// the same left-to-right input order as a chain of pairwise merges, so
+// the two write identical bytes even with fractional measures, whose sums
+// change under re-association, and whatever options built the inputs.
+func TestMergeViewsKWayMatchesPairwise(t *testing.T) {
 	ablations := [][]Option{
 		nil,
 		{WithoutSuffixCoalescing()},
 		{WithoutHashConsing()},
 		{WithoutSuffixCoalescing(), WithoutHashConsing()},
 	}
+	open := func(data []byte) *CubeView {
+		v, err := OpenViewTrusted(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
 	for ai, opts := range ablations {
 		rng := rand.New(rand.NewSource(int64(ai)))
 		ndims := 1 + rng.Intn(3)
 		dims := dimNames(ndims)
-		var all []Tuple
-		var cubes []*Cube
-		for i := 0; i < 4; i++ {
-			part := randomTuples(rng, ndims, rng.Intn(50), 4)
-			all = append(all, part...)
-			c, err := New(dims, part, opts...)
+		views := make([]*CubeView, 4)
+		for i := range views {
+			c, err := New(dims, floatTuples(rng, ndims, rng.Intn(50), 4), opts...)
 			if err != nil {
 				t.Fatal(err)
 			}
-			cubes = append(cubes, c)
+			views[i] = open(encodeFor(t, c, true))
 		}
-		merged, err := MergeAll(cubes...)
+		kway, _, err := MergeViewsBytes(views...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pairwise := cubes[0]
-		for _, c := range cubes[1:] {
-			if pairwise, err = Merge(pairwise, c); err != nil {
+		pairwise, _, err := MergeViewsBytes(views[0], views[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range views[2:] {
+			if pairwise, _, err = MergeViewsBytes(open(pairwise), v); err != nil {
 				t.Fatal(err)
 			}
 		}
-		union, err := New(dims, all, opts...)
-		if err != nil {
-			t.Fatal(err)
+		if !bytes.Equal(kway, pairwise) {
+			t.Errorf("ablation %d: k-way merge %d bytes, pairwise chain %d (fold order diverged)",
+				ai, len(kway), len(pairwise))
 		}
-		if merged.NumSourceTuples() != len(all) {
-			t.Fatalf("ablation %d: tuples %d, want %d", ai, merged.NumSourceTuples(), len(all))
-		}
-		for q := 0; q < 40; q++ {
-			keys := randomQuery(rng, ndims, 5)
-			got, _ := merged.Point(keys...)
-			want, _ := union.Point(keys...)
-			if !got.Equal(want) {
-				t.Fatalf("ablation %d query %v: MergeAll=%v union=%v", ai, keys, got, want)
-			}
-			pw, _ := pairwise.Point(keys...)
-			if math.Float64bits(got.Sum) != math.Float64bits(pw.Sum) || got.Count != pw.Count {
-				t.Fatalf("ablation %d query %v: MergeAll=%v pairwise=%v (fold order diverged)", ai, keys, got, pw)
-			}
-		}
-		if err := merged.CheckInvariants(); err != nil {
-			t.Errorf("ablation %d: %v", ai, err)
-		}
-	}
-	// Degenerate arities.
-	if _, err := MergeAll(); err == nil {
-		t.Error("MergeAll() must fail")
-	}
-	solo, err := New([]string{"d"}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, err := MergeAll(solo); err != nil || got != solo {
-		t.Errorf("MergeAll(single) = %v, %v; want the input cube itself", got, err)
 	}
 }
 
 // FuzzMergeViews drives the streaming merge over arbitrary (resealed)
 // streams: it must never panic, fail only with the codec sentinels or a
 // dimension mismatch, and any stream it does emit must be fully valid and
-// agree with the in-memory MergeAll over the decoded inputs.
+// carry the merge of the inputs' ALL aggregates.
 func FuzzMergeViews(f *testing.F) {
 	seeds := fuzzSeedStreams(f)
 	for i, s := range seeds {
@@ -369,15 +340,6 @@ func FuzzMergeViews(f *testing.F) {
 		if merged.NumSourceTuples() != stats.Tuples {
 			t.Fatalf("output carries %d tuples, stats say %d", merged.NumSourceTuples(), stats.Tuples)
 		}
-		c1, e1 := DecodeBytes(resealV1(d1))
-		c2, e2 := DecodeBytes(resealV1(d2))
-		if e1 != nil || e2 != nil {
-			return
-		}
-		ref, err := MergeAll(c1, c2)
-		if err != nil {
-			return
-		}
 		wild := make([]string, merged.NumDims())
 		for i := range wild {
 			wild[i] = All
@@ -386,16 +348,18 @@ func FuzzMergeViews(f *testing.F) {
 		if err != nil {
 			t.Fatalf("Point on merged output: %v", err)
 		}
-		want, err := ref.Point(wild...)
-		if err != nil {
-			t.Fatalf("Point on MergeAll reference: %v", err)
+		a1, e1 := v1.Point(wild...)
+		a2, e2 := v2.Point(wild...)
+		if e1 != nil || e2 != nil {
+			return
 		}
+		want := MergeAggregates(a1, a2)
 		if got.Count != want.Count {
-			t.Fatalf("merged count %d, MergeAll count %d", got.Count, want.Count)
+			t.Fatalf("merged count %d, inputs' ALL count %d", got.Count, want.Count)
 		}
 		if !math.IsNaN(got.Sum) && !math.IsNaN(want.Sum) &&
 			math.Float64bits(got.Sum) != math.Float64bits(want.Sum) {
-			t.Fatalf("merged sum %v, MergeAll sum %v", got.Sum, want.Sum)
+			t.Fatalf("merged sum %v, inputs' ALL sum %v", got.Sum, want.Sum)
 		}
 	})
 }

@@ -363,39 +363,3 @@ func TestParallelWorkerDefaults(t *testing.T) {
 	}
 	checkStructurallyIdentical(t, emptySerial, emptyPar, "empty")
 }
-
-// TestParallelAppendAndIncremental: the Workers option survives Append (the
-// delta cube builds sharded) and threads through the Incremental fold.
-func TestParallelAppendAndIncremental(t *testing.T) {
-	base := mustCube(t, paperDims, paperTuples()[:2], WithWorkers(4))
-	extra := paperTuples()[2:]
-	appended, err := base.Append(extra)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := mustCube(t, paperDims, paperTuples())
-	for _, q := range [][]string{{All, All, All}, {"Ireland", All, All}} {
-		ga, _ := appended.Point(q...)
-		gw, _ := want.Point(q...)
-		if !ga.Equal(gw) {
-			t.Errorf("append with workers: %v = %v, want %v", q, ga, gw)
-		}
-	}
-
-	inc, err := NewIncremental(paperDims, WithWorkers(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := inc.AddBatch(paperTuples()); err != nil {
-		t.Fatal(err)
-	}
-	runs, err := inc.Runs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ga, _ := runs.Point(All, All, All)
-	gw, _ := want.Point(All, All, All)
-	if !ga.Equal(gw) {
-		t.Errorf("incremental with workers: ALL = %v, want %v", ga, gw)
-	}
-}

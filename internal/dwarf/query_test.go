@@ -1,6 +1,7 @@
 package dwarf
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 )
@@ -142,50 +143,77 @@ func TestMustPointPanics(t *testing.T) {
 	c.MustPoint("Ireland")
 }
 
+// builtView is BuildIndexed of tuples opened as a view: how the store
+// holds every run and segment it builds.
+func builtView(t *testing.T, dims []string, tuples []Tuple) *CubeView {
+	t.Helper()
+	data, err := BuildIndexed(dims, tuples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := OpenViewTrusted(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
 func TestMergeDimensionMismatch(t *testing.T) {
-	a := mustCube(t, []string{"x"}, nil)
-	b := mustCube(t, []string{"x", "y"}, nil)
-	if _, err := Merge(a, b); !errors.Is(err, ErrDimsMismatch) {
+	a := builtView(t, []string{"x"}, nil)
+	b := builtView(t, []string{"x", "y"}, nil)
+	if _, _, err := MergeViewsBytes(a, b); !errors.Is(err, ErrDimsMismatch) {
 		t.Errorf("err = %v, want ErrDimsMismatch", err)
 	}
-	c := mustCube(t, []string{"z"}, nil)
-	if _, err := Merge(a, c); !errors.Is(err, ErrDimsMismatch) {
+	c := builtView(t, []string{"z"}, nil)
+	if _, _, err := MergeViewsBytes(a, c); !errors.Is(err, ErrDimsMismatch) {
 		t.Errorf("renamed dim: err = %v, want ErrDimsMismatch", err)
 	}
 }
 
+// TestMergeEmptyCubes: merging empty cubes gives the empty cube, and an
+// empty input leaves the other's bytes unchanged.
 func TestMergeEmptyCubes(t *testing.T) {
-	a := mustCube(t, []string{"x", "y"}, nil)
-	b := mustCube(t, []string{"x", "y"}, nil)
-	m, err := Merge(a, b)
+	dims := []string{"x", "y"}
+	empty := builtView(t, dims, nil)
+	m, _, err := MergeViewsBytes(empty, builtView(t, dims, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if agg, _ := m.Point(All, All); !agg.IsZero() {
-		t.Errorf("merged empty cube = %v", agg)
+	if want := batchIndexed(t, dims, nil); !bytes.Equal(m, want) {
+		t.Errorf("merged empty cubes: %d bytes, empty build %d", len(m), len(want))
 	}
-
-	// Empty merged with non-empty equals the non-empty cube.
-	c := mustCube(t, []string{"x", "y"}, []Tuple{{Dims: []string{"a", "b"}, Measure: 5}})
-	m2, err := Merge(a, c)
+	one := []Tuple{{Dims: []string{"a", "b"}, Measure: 5}}
+	m, _, err = MergeViewsBytes(empty, builtView(t, dims, one))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if agg, _ := m2.Point("a", "b"); agg.Sum != 5 {
-		t.Errorf("merge with empty = %v", agg)
+	if want := batchIndexed(t, dims, one); !bytes.Equal(m, want) {
+		t.Errorf("merge with empty: %d bytes, batch build %d", len(m), len(want))
 	}
 }
 
+// TestAppendIncremental folds a day into a cube the way the store does:
+// BuildIndexed of the new batch, then one MergeViewsBytes with the
+// standing cube's view. The result is the batch build of both days.
 func TestAppendIncremental(t *testing.T) {
+	dims := []string{"day", "station"}
 	day1 := []Tuple{
 		{Dims: []string{"mon", "s1"}, Measure: 4},
 		{Dims: []string{"mon", "s2"}, Measure: 6},
 	}
-	c := mustCube(t, []string{"day", "station"}, day1)
-	c2, err := c.Append([]Tuple{
+	day2 := []Tuple{
 		{Dims: []string{"tue", "s1"}, Measure: 10},
 		{Dims: []string{"mon", "s1"}, Measure: 1}, // same keys as an existing fact
-	})
+	}
+	base := builtView(t, dims, day1)
+	out, _, err := MergeViewsBytes(base, builtView(t, dims, day2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := batchIndexed(t, dims, append(append([]Tuple{}, day1...), day2...)); !bytes.Equal(out, want) {
+		t.Fatalf("appended cube: %d bytes, batch build %d", len(out), len(want))
+	}
+	c2, err := OpenViewTrusted(out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,8 +223,8 @@ func TestAppendIncremental(t *testing.T) {
 	if agg, _ := c2.Point(All, All); agg.Sum != 21 || agg.Count != 4 {
 		t.Errorf("ALL after append = %v", agg)
 	}
-	// Original cube unchanged.
-	if agg, _ := c.Point(All, All); agg.Sum != 10 || agg.Count != 2 {
+	// The standing cube is unchanged.
+	if agg, _ := base.Point(All, All); agg.Sum != 10 || agg.Count != 2 {
 		t.Errorf("original mutated: %v", agg)
 	}
 	if c2.NumSourceTuples() != 4 {

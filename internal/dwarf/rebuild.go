@@ -31,7 +31,6 @@ func FromParts(dims []string, root *Node, numTuples int, fromQuery bool) (*Cube,
 	// different depths would be a corrupt graph).
 	level := map[*Node]int{root: 0}
 	queue := []*Node{root}
-	var maxSeq int64
 	for len(queue) > 0 {
 		n := queue[0]
 		queue = queue[1:]
@@ -41,9 +40,6 @@ func FromParts(dims []string, root *Node, numTuples int, fromQuery bool) (*Cube,
 		}
 		n.Level = l
 		n.Leaf = l == ndims-1
-		if n.seq > maxSeq {
-			maxSeq = n.seq
-		}
 		sort.Slice(n.Cells, func(i, j int) bool { return n.Cells[i].Key < n.Cells[j].Key })
 		for i := range n.Cells {
 			if i > 0 && n.Cells[i].Key == n.Cells[i-1].Key {
@@ -84,7 +80,6 @@ func FromParts(dims []string, root *Node, numTuples int, fromQuery bool) (*Cube,
 		root:      root,
 		numTuples: numTuples,
 		FromQuery: fromQuery,
-		nextSeq:   maxSeq + 1,
 	}, nil
 }
 

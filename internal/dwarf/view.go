@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 )
 
 // CubeView answers queries directly against a []byte in the DWRFCUBE
@@ -35,6 +36,7 @@ type CubeView struct {
 	indexed bool
 
 	once    sync.Once
+	built   atomic.Bool // set once the Once has run; heapBytes reads it
 	idxErr  error
 	starts  []uint32 // starts[id-1]: offset of node id's record
 	allOffs []uint32 // allOffs[id-1]: offset of node id's ALL record
@@ -417,8 +419,26 @@ func (v *CubeView) ensure() error {
 			v.starts, v.allOffs, v.rootID = starts, allOffs, rootID
 		}
 		v.idxErr = v.buildFanoutIndex()
+		v.built.Store(true)
 	})
 	return v.idxErr
+}
+
+// heapBytes reports what the view holds on the heap beside its data: the
+// node offset index (8 B a node) and, once the first query or merge has
+// built it, the fanout side-index (14 B a node plus 4 B a cell). It never
+// builds either, and is safe beside concurrent queries: slices the Once
+// writes are read only after it has run.
+func (v *CubeView) heapBytes() int {
+	built := v.built.Load()
+	if !built && !v.indexed {
+		return 0
+	}
+	n := 4 * (cap(v.starts) + cap(v.allOffs))
+	if built {
+		n += 2*cap(v.levels) + 4*(cap(v.ncells)+cap(v.cellsOff)+cap(v.cellIdx)+cap(v.cellOffs))
+	}
+	return n
 }
 
 // buildFanoutIndex walks the node section once, recording every record

@@ -23,6 +23,7 @@
 package repro
 
 import (
+	"bytes"
 	"io"
 	"os"
 	"path/filepath"
@@ -68,13 +69,35 @@ func BuildCubeParallel(dims []string, tuples []Tuple, workers int, opts ...CubeO
 }
 
 // MergeCubes combines two cubes over the same dimensions (incremental
-// maintenance).
-func MergeCubes(a, b *Cube) (*Cube, error) { return dwarf.Merge(a, b) }
+// maintenance). The result is the cube BuildCube returns over both inputs'
+// facts; see MergeAllCubes.
+func MergeCubes(a, b *Cube) (*Cube, error) { return MergeAllCubes(a, b) }
 
 // MergeAllCubes folds any number of cubes over the same dimensions in one
-// k-way pass — cheaper than a chain of MergeCubes and bit-identical in its
-// aggregates.
-func MergeAllCubes(cubes ...*Cube) (*Cube, error) { return dwarf.MergeAll(cubes...) }
+// k-way pass with the engine the live store uses (MergeCubeViews): each
+// input is encoded, the encodings are merged, and the merged stream is
+// decoded. The result encodes to the same bytes as BuildCube over the
+// concatenated facts whenever the sums are exact, and is FromQuery when
+// any input is. Mismatched dimension lists fail with dwarf.ErrDimsMismatch.
+func MergeAllCubes(cubes ...*Cube) (*Cube, error) {
+	views := make([]*CubeView, len(cubes))
+	for i, c := range cubes {
+		var buf bytes.Buffer
+		if err := c.EncodeIndexed(&buf); err != nil {
+			return nil, err
+		}
+		v, err := dwarf.OpenViewTrusted(buf.Bytes())
+		if err != nil {
+			return nil, err
+		}
+		views[i] = v
+	}
+	out, _, err := dwarf.MergeViewsBytes(views...)
+	if err != nil {
+		return nil, err
+	}
+	return dwarf.DecodeBytes(out)
+}
 
 // CubeMergeStats describes one streaming merge (MergeCubeViews).
 type CubeMergeStats = dwarf.MergeStats

@@ -3,12 +3,14 @@ package repro
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"testing"
 	"time"
 
+	"repro/internal/dwarf"
 	"repro/internal/smartcity"
 )
 
@@ -81,6 +83,109 @@ func TestFacadeJSONAndMerge(t *testing.T) {
 	}
 	if m.NumSourceTuples() != 100 {
 		t.Errorf("merged tuples = %d", m.NumSourceTuples())
+	}
+}
+
+// indexedBytes is the EncodeIndexed stream of c.
+func indexedBytes(t *testing.T, c *Cube) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := c.EncodeIndexed(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestFacadeMergeEqualsBuild: MergeCubes and MergeAllCubes return the cube
+// BuildCube makes over the concatenated facts, byte for byte, with the
+// FromQuery flag set when any input has it and dwarf.ErrDimsMismatch for
+// mismatched dimensions.
+func TestFacadeMergeEqualsBuild(t *testing.T) {
+	tuples, err := BikeDataset("Day")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tuples = tuples[:3000]
+	build := func(ts []Tuple) *Cube {
+		t.Helper()
+		c, err := BuildCube(BikeDims(), ts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	a, b, c := build(tuples[:1000]), build(tuples[1000:2200]), build(tuples[2200:])
+
+	m, err := MergeCubes(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := indexedBytes(t, m), indexedBytes(t, build(tuples[:2200])); !bytes.Equal(got, want) {
+		t.Errorf("MergeCubes: %d bytes, BuildCube of both %d", len(got), len(want))
+	}
+	all, err := MergeAllCubes(a, b, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	union := build(tuples)
+	if got, want := indexedBytes(t, all), indexedBytes(t, union); !bytes.Equal(got, want) {
+		t.Errorf("MergeAllCubes: %d bytes, BuildCube of all %d", len(got), len(want))
+	}
+
+	b.FromQuery = true
+	all, err = MergeAllCubes(a, b, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	union.FromQuery = true
+	if !all.FromQuery || !bytes.Equal(indexedBytes(t, all), indexedBytes(t, union)) {
+		t.Errorf("merge with a FromQuery input: FromQuery=%v, want the flagged union build", all.FromQuery)
+	}
+
+	other, err := BuildCube([]string{"Area"}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := MergeCubes(a, other); !errors.Is(err, dwarf.ErrDimsMismatch) {
+		t.Errorf("dims mismatch: err = %v, want dwarf.ErrDimsMismatch", err)
+	}
+}
+
+// TestFacadeCarParkFold pins examples/carpark's maintenance loop: folding
+// each batch of polls into the standing cube with MergeCubes gives, after
+// every batch, the cube BuildCube makes of all polls so far.
+func TestFacadeCarParkFold(t *testing.T) {
+	feed := smartcity.NewCarParkFeed(7, 12)
+	spec := CarParkXMLSpec()
+	cube, err := BuildCube(spec.DimNames(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var polls []Tuple
+	for batch := 1; batch <= 3; batch++ {
+		var doc bytes.Buffer
+		if err := smartcity.WriteCarParksXML(&doc, feed.Take(12*6*4)); err != nil {
+			t.Fatal(err)
+		}
+		tuples, err := ParseXML(&doc, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		polls = append(polls, tuples...)
+		delta, err := BuildCube(spec.DimNames(), tuples)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cube, err = MergeCubes(cube, delta); err != nil {
+			t.Fatal(err)
+		}
+		want, err := BuildCube(spec.DimNames(), polls)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cube.Stats() != want.Stats() || !bytes.Equal(indexedBytes(t, cube), indexedBytes(t, want)) {
+			t.Fatalf("batch %d: folded cube %+v, BuildCube of the polls %+v", batch, cube.Stats(), want.Stats())
+		}
 	}
 }
 
