@@ -909,10 +909,14 @@ func (s *Store) sealer() {
 // or a seal fails, returning how many sealed. sealMu makes it safe to call
 // from both the background sealer and explicit Seal. FIFO order is what
 // keeps the manifest's WALGen monotonic: each commit advances it to the
-// sealed memtable's walGenHi+1.
+// sealed memtable's walGenHi+1. Every seal of one drain builds in the same
+// dwarf.Scratch, so a queue of seals reuses one output buffer and one set
+// of tables; the scratch is dropped when the drain returns, and an idle
+// store holds none.
 func (s *Store) drainFrozen() (int, error) {
 	s.sealMu.Lock()
 	defer s.sealMu.Unlock()
+	var sc dwarf.Scratch
 	sealed := 0
 	for {
 		s.mu.Lock()
@@ -930,7 +934,7 @@ func (s *Store) drainFrozen() (int, error) {
 		}
 		fz := s.frozen[0]
 		s.mu.Unlock()
-		if err := s.sealFrozen(fz); err != nil {
+		if err := s.sealFrozen(fz, &sc); err != nil {
 			if !errors.Is(err, ErrClosed) {
 				s.mu.Lock()
 				s.lastSealErr = err.Error()
@@ -950,9 +954,11 @@ func (s *Store) drainFrozen() (int, error) {
 // queries proceed; only the id reservation and the manifest swap take the
 // lock. The in-memory swap happens only once the on-disk state is fully
 // committed, so any earlier error leaves a consistent store with the entry
-// still frozen and still WAL-covered.
-func (s *Store) sealFrozen(fz *frozenMem) error {
-	data, err := fz.mem.IndexedBytes()
+// still frozen and still WAL-covered. The segment bytes are built in sc
+// and dead once writeSegment has written and mapped the file, so the next
+// seal may reuse sc.
+func (s *Store) sealFrozen(fz *frozenMem, sc *dwarf.Scratch) error {
+	data, err := fz.mem.IndexedBytes(sc)
 	if err != nil {
 		return err
 	}
@@ -1127,16 +1133,26 @@ func (s *Store) background() {
 
 // compactBackground runs auto-compaction, recording rather than returning
 // failures — a store whose maintenance is stuck must stay queryable and
-// appendable, but visibly so (Stats.LastCompactError).
+// appendable, but visibly so (Stats.LastCompactError). It yields to queued
+// seals: no merge starts while a frozen memtable waits, so a burst of
+// appends gets the CPU for sealing, and the sealer's kick after its drain
+// brings compaction back.
 func (s *Store) compactBackground() {
 	if s.opts.DisableAutoCompact {
 		return
 	}
-	if _, err := s.Compact(); err != nil && !errors.Is(err, ErrClosed) {
+	if _, err := s.compact(true); err != nil && !errors.Is(err, ErrClosed) {
 		s.mu.Lock()
 		s.lastCompactErr = err.Error()
 		s.mu.Unlock()
 	}
+}
+
+// sealQueued reports whether a frozen memtable waits to seal.
+func (s *Store) sealQueued() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.frozen) > 0
 }
 
 func (s *Store) sealIfAged() {
@@ -1173,13 +1189,24 @@ func (s *Store) levelOf(tuples int) int {
 // Compact merges sealed segments level by level until no level holds
 // CompactFanout segments, returning the number of compactions run. It is
 // safe alongside concurrent appends, seals and queries; the background
-// compactor calls it after every seal.
+// compactor runs it after seals (see compactBackground).
 func (s *Store) Compact() (int, error) {
+	return s.compact(false)
+}
+
+// compact is Compact; with yield set it stops before any merge that would
+// start while a frozen memtable waits to seal, and then leaves the rollups
+// for the run after the drain. The merges of one call share a dwarf.Scratch.
+func (s *Store) compact(yield bool) (int, error) {
 	s.compactMu.Lock()
 	defer s.compactMu.Unlock()
+	var sc dwarf.Scratch
 	n := 0
 	for {
-		did, err := s.compactOnce()
+		if yield && s.sealQueued() {
+			return n, nil
+		}
+		did, err := s.compactOnce(&sc)
 		if err != nil {
 			return n, err
 		}
@@ -1210,8 +1237,9 @@ func (s *Store) Compact() (int, error) {
 // its working set is the output segment plus O(depth·fanout·k) cursor
 // state — not the sum of the decoded inputs. If the merge fails (a corrupt
 // input, or an output past the 4 GiB offset index that no mapping could
-// open anyway), the compaction fails with its inputs untouched.
-func (s *Store) compactOnce() (bool, error) {
+// open anyway), the compaction fails with its inputs untouched. The
+// merge runs in sc; its bytes are dead once the segment file is written.
+func (s *Store) compactOnce(sc *dwarf.Scratch) (bool, error) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -1245,12 +1273,11 @@ func (s *Store) compactOnce() (bool, error) {
 	for i, seg := range group {
 		views[i] = seg.view
 	}
-	merged, err := s.writeSegment(name, tuples, func(w io.Writer) error {
-		if _, err := dwarf.MergeViews(w, views...); err != nil {
-			return fmt.Errorf("cubestore: merging %d segments into %s: %w", len(views), name, err)
-		}
-		return nil
-	})
+	data, _, err := sc.MergeViewsBytes(views...)
+	if err != nil {
+		return false, fmt.Errorf("cubestore: merging %d segments into %s: %w", len(views), name, err)
+	}
+	merged, err := s.writeSegment(name, tuples, writeBytes(data))
 	if err != nil {
 		return false, err
 	}

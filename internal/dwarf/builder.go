@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"hash/maphash"
 	"math"
-	"slices"
 	"strings"
 )
 
@@ -117,14 +116,25 @@ func New(dims []string, tuples []Tuple, opts ...Option) (*Cube, error) {
 // aggTuples validates raw facts with New's rules and lifts each measure to
 // its single-value aggregate.
 func aggTuples(dims []string, tuples []Tuple) ([]AggTuple, error) {
+	if err := validateTuples(dims, tuples); err != nil {
+		return nil, err
+	}
 	ats := make([]AggTuple, len(tuples))
 	for i := range tuples {
-		if err := ValidateTuple(tuples[i], len(dims)); err != nil {
-			return nil, fmt.Errorf("tuple %d: %w", i, err)
-		}
 		ats[i] = AggTuple{Dims: tuples[i].Dims, Agg: NewAggregate(tuples[i].Measure)}
 	}
 	return ats, nil
+}
+
+// validateTuples checks raw facts with ValidateTuple, naming the first bad
+// one.
+func validateTuples(dims []string, tuples []Tuple) error {
+	for i := range tuples {
+		if err := ValidateTuple(tuples[i], len(dims)); err != nil {
+			return fmt.Errorf("tuple %d: %w", i, err)
+		}
+	}
+	return nil
 }
 
 // validateAggTuples checks pre-aggregated facts against the cube's
@@ -230,13 +240,15 @@ func (b *builder) newNode(level int) *Node {
 }
 
 // sortTuples returns a sorted copy of the facts, the order the paper's
-// single-scan construction (and the shard planner) require.
+// single-scan construction (and the shard planner) require: sortPerm's
+// permutation, the one BuildIndexed scans, gathered.
 func sortTuples(tuples []AggTuple) []AggTuple {
+	var sc sortScratch
+	perm := sortPerm(aggFacts(tuples), &sc)
 	sorted := make([]AggTuple, len(tuples))
-	copy(sorted, tuples)
-	slices.SortStableFunc(sorted, func(a, b AggTuple) int {
-		return compareDims(a.Dims, b.Dims)
-	})
+	for i, p := range perm {
+		sorted[i] = tuples[p]
+	}
 	return sorted
 }
 

@@ -5,18 +5,15 @@ import "unsafe"
 // BuildIndexed constructs the cube of tuples and returns it in the
 // EncodeIndexed format. It validates like New, and its bytes equal
 // New(dims, tuples).EncodeIndexed, float sums included. No *Node graph is
-// built: BuildIndexed runs New's sorted scan with the same duplicate fold
-// and closes every node straight into a record through the emitter
-// MergeViews uses. Each ALL cell is one k-way merge of the node's
-// already-emitted children, read back from the output itself, with the
-// inputs and left-fold order of suffixCoalesce. Stores use it wherever a
-// fresh build goes straight to a file.
+// built, and the tuples are never copied: BuildIndexed sorts a permutation
+// of them with New's sort (sortPerm), runs New's sorted scan over it with
+// the same duplicate fold, and closes every node straight into a record
+// through the emitter MergeViews uses. Each ALL cell is one k-way merge of
+// the node's already-emitted children, read back from the output itself,
+// with the inputs and left-fold order of suffixCoalesce. Stores use it
+// wherever a fresh build goes straight to a file.
 func BuildIndexed(dims []string, tuples []Tuple) ([]byte, error) {
-	ats, err := aggTuples(dims, tuples)
-	if err != nil {
-		return nil, err
-	}
-	return BuildIndexedFromAggregates(dims, ats)
+	return new(Scratch).BuildIndexed(dims, tuples)
 }
 
 // BuildIndexedFromAggregates is BuildIndexed over pre-aggregated facts,
@@ -26,11 +23,41 @@ func BuildIndexedFromAggregates(dims []string, tuples []AggTuple) ([]byte, error
 	if err != nil {
 		return nil, err
 	}
-	self := &CubeView{hdr: viewHeader{dims: dims}}
-	m := newViewMerger([]*CubeView{self}, dims, uint64(numTuples), false)
+	return new(Scratch).build(dims, aggFacts(tuples), uint64(numTuples))
+}
+
+// BuildIndexed is the package BuildIndexed building in sc: the result
+// aliases sc's output buffer (see Scratch).
+func (sc *Scratch) BuildIndexed(dims []string, tuples []Tuple) ([]byte, error) {
+	if err := validateTuples(dims, tuples); err != nil {
+		return nil, err
+	}
+	if len(dims) == 0 {
+		return nil, ErrNoDimensions
+	}
+	return sc.build(dims, rawFacts(tuples), uint64(len(tuples)))
+}
+
+// build is BuildIndexed over validated facts. The merger's only input is a
+// view over its own output (self), kept in step by emit.
+func (sc *Scratch) build(dims []string, f facts, numTuples uint64) ([]byte, error) {
+	self := &sc.self
+	*self = CubeView{
+		hdr:    viewHeader{dims: dims},
+		levels: self.levels[:0], ncells: self.ncells[:0], cellsOff: self.cellsOff[:0],
+	}
+	m := sc.merger([]*CubeView{self}, dims, numTuples, false)
 	m.self = self
-	b := &streamBuilder{m: m, open: make([][]mcell, len(dims))}
-	root, err := b.build(sortTuples(tuples))
+	b := streamBuilder{m: m, open: sc.open, refs: sc.refs}
+	if len(b.open) < len(dims) {
+		b.open = make([][]mcell, len(dims))
+	}
+	for l := range b.open {
+		// A failed build may have left cells open.
+		b.open[l] = b.open[l][:0]
+	}
+	root, err := b.build(f, sortPerm(f, &sc.sort))
+	sc.open, sc.refs = b.open, b.refs
 	if err != nil {
 		return nil, err
 	}
@@ -46,24 +73,25 @@ type streamBuilder struct {
 	refs []nref
 }
 
-// build is builder.scanRuns at full depth over sorted facts, emitting
-// records instead of linking nodes, and returns the root's id.
-func (b *streamBuilder) build(sorted []AggTuple) (uint32, error) {
+// build is builder.scanRuns at full depth over the facts in sorted order
+// (perm), emitting records instead of linking nodes, and returns the
+// root's id. Measures are lifted as the scan reads them.
+func (b *streamBuilder) build(f facts, perm []int32) (uint32, error) {
 	nd := b.m.ndims
-	if len(sorted) == 0 {
+	if len(perm) == 0 {
 		// Empty cube: a bare root with no cells and zero aggregates.
 		return b.m.emit(0, nd == 1, nil, 0, Aggregate{})
 	}
 	var prev []string
-	for ti := range sorted {
-		t := &sorted[ti]
-		p := commonPrefix(prev, t.Dims)
+	for _, ti := range perm {
+		keys := f.keys(int(ti))
+		p := commonPrefix(prev, keys)
 		if prev != nil {
 			if p == nd {
 				// Duplicate key combination: merge into the last leaf cell.
 				leaf := b.open[nd-1]
 				lc := &leaf[len(leaf)-1]
-				lc.agg = MergeAggregates(lc.agg, t.Agg)
+				lc.agg = MergeAggregates(lc.agg, f.agg(int(ti)))
 				continue
 			}
 			// Close everything below the divergence level, deepest first.
@@ -75,13 +103,13 @@ func (b *streamBuilder) build(sorted []AggTuple) (uint32, error) {
 		}
 		// Open the new suffix: one new cell per level from p down.
 		for l := p; l < nd; l++ {
-			c := mcell{key: keyBytes(t.Dims[l])}
+			c := mcell{key: keyBytes(keys[l])}
 			if l == nd-1 {
-				c.agg = t.Agg
+				c.agg = f.agg(int(ti))
 			}
 			b.open[l] = append(b.open[l], c)
 		}
-		prev = t.Dims
+		prev = keys
 	}
 	for l := nd - 1; l > 0; l-- {
 		if err := b.attachClosed(l); err != nil {

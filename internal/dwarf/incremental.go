@@ -128,27 +128,40 @@ func (inc *Incremental) Runs() (*Runs, error) {
 // output, so with exact sums the bytes are those of New over every tuple.
 // The builder is left as it was: a Runs call that runs meanwhile folds the
 // same pending tuples itself.
-func (inc *Incremental) IndexedBytes() ([]byte, error) {
+//
+// The build or merge runs in sc (a fresh Scratch when sc is nil), and its
+// result aliases sc's buffer. With nothing pending and a lone run, there
+// is nothing to build: the result is that run's own bytes, which *Runs
+// lists handed out keep reading, so a caller never writes into the result
+// of either kind.
+func (inc *Incremental) IndexedBytes(sc *Scratch) ([]byte, error) {
+	if sc == nil {
+		sc = new(Scratch)
+	}
 	inc.mu.Lock()
 	tail, prev := inc.pending, inc.runs
 	inc.mu.Unlock()
 	views := prev.views[:len(prev.data):len(prev.data)]
-	if len(views) == 0 || len(tail) > 0 {
+	switch {
+	case len(views) == 0:
+		return sc.BuildIndexed(inc.dims, tail)
+	case len(tail) > 0:
+		// The tail gets a buffer of its own: the merge below writes sc's.
 		out, err := BuildIndexed(inc.dims, tail)
-		if err != nil || len(views) == 0 {
-			return out, err
+		if err != nil {
+			return nil, err
 		}
 		tv, err := OpenViewTrusted(out)
 		if err != nil {
 			return nil, err
 		}
 		views = append(views, tv)
-	} else if len(views) == 1 {
+	case len(views) == 1:
 		// A lone run is already one build, or one canonical merge, of
 		// every tuple.
 		return prev.data[0], nil
 	}
-	out, _, err := MergeViewsBytes(views...)
+	out, _, err := sc.MergeViewsBytes(views...)
 	return out, err
 }
 

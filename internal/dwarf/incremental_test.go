@@ -80,7 +80,7 @@ func TestIncrementalBuildsOnce(t *testing.T) {
 	if len(c.data) != 1 {
 		t.Fatalf("one fold left %d runs, want 1", len(c.data))
 	}
-	got, err := inc.IndexedBytes()
+	got, err := inc.IndexedBytes(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestIncrementalIndexedBytes(t *testing.T) {
 			}
 		}
 		buffered := inc.Buffered()
-		got, err := inc.IndexedBytes()
+		got, err := inc.IndexedBytes(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,7 +151,7 @@ func TestIncrementalIndexedBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := empty.IndexedBytes()
+	got, err := empty.IndexedBytes(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +304,7 @@ func TestIncrementalConcurrent(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if _, err := inc.IndexedBytes(); err != nil {
+				if _, err := inc.IndexedBytes(nil); err != nil {
 					t.Error(err)
 					return
 				}
@@ -401,7 +401,7 @@ func FuzzIncrementalRuns(f *testing.F) {
 				}
 				checkRuns(t, dims, runs, added)
 			case 2:
-				got, err := inc.IndexedBytes()
+				got, err := inc.IndexedBytes(nil)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -20,7 +20,8 @@ import (
 // construction plus O(depth × fanout × k) cursor state and the
 // content-addressing tables; it never materializes an input node graph,
 // which is what keeps segment compaction in cubestore bounded by the output
-// size instead of the sum of the decoded inputs.
+// size instead of the sum of the decoded inputs. That working set lives in
+// a Scratch, which a caller running merges or builds back to back reuses.
 //
 // The output is the *canonical* encoding of the merged fact multiset:
 // structurally identical sub-dwarfs are emitted once (content-addressed on
@@ -76,6 +77,12 @@ func MergeViews(dst io.Writer, views ...*CubeView) (MergeStats, error) {
 // MergeViewsBytes is MergeViews returning the encoded stream as one
 // contiguous byte slice, for callers that keep the merged cube in memory.
 func MergeViewsBytes(views ...*CubeView) ([]byte, MergeStats, error) {
+	return new(Scratch).MergeViewsBytes(views...)
+}
+
+// MergeViewsBytes is the package MergeViewsBytes merging in sc: the result
+// aliases sc's output buffer (see Scratch).
+func (sc *Scratch) MergeViewsBytes(views ...*CubeView) ([]byte, MergeStats, error) {
 	var stats MergeStats
 	if len(views) == 0 {
 		return nil, stats, errors.New("dwarf: MergeViews needs at least one input view")
@@ -103,13 +110,14 @@ func MergeViewsBytes(views ...*CubeView) ([]byte, MergeStats, error) {
 	stats.Inputs = len(views)
 	stats.Tuples = int(numTuples)
 
-	m := newViewMerger(views, dims, numTuples, fromQuery)
-	var roots []nref
+	m := sc.merger(views, dims, numTuples, fromQuery)
+	roots := sc.refs[:0]
 	for i, v := range views {
 		if v.rootID != 0 {
 			roots = append(roots, nref{view: i, id: v.rootID})
 		}
 	}
+	sc.refs = roots
 	var rootOut uint32
 	var err error
 	if len(roots) > 0 {
@@ -132,6 +140,26 @@ func MergeViewsBytes(views ...*CubeView) ([]byte, MergeStats, error) {
 	}
 	stats.BytesWritten = int64(len(out))
 	return out, stats, nil
+}
+
+// Scratch is the working memory of BuildIndexed and MergeViews, reusable
+// from one build or merge to the next: the output buffer, the node index
+// (starts, allOffs, hashes), the self-view's index slices, the content and
+// memo tables, the scan's open cells and the sort permutation. Once they
+// have grown to a workload's size, a build through a Scratch allocates
+// next to nothing, which is what lets a store seal a queue of memtables
+// without leaving each seal's working set behind as garbage.
+//
+// The bytes a call through a Scratch returns alias its output buffer: they
+// stay valid only until the next call through the same Scratch, so a
+// caller writes or copies them out before that. A Scratch is not safe for
+// concurrent use. The zero value is ready to use.
+type Scratch struct {
+	m    viewMerger
+	self CubeView
+	sort sortScratch
+	open [][]mcell
+	refs []nref
 }
 
 // nref names one input sub-dwarf: a view index plus a node id in that
@@ -217,22 +245,23 @@ type viewMerger struct {
 	starts  []uint32 // per emitted node: record offset in buf
 	allOffs []uint32
 
-	// canon maps a record's content hash to the newest emitted node with
-	// that hash; chain[id-1] links to the previous one, 0 ending the chain.
-	canon map[uint64]uint32
-	chain []uint32
-	seed  maphash.Seed
+	// canon is the content table: an open-addressed set of emitted node
+	// ids, a power of two long and at most half full, probed by record
+	// hash; hashes[id-1] is node id's.
+	canon  []uint32
+	hashes []uint64
+	seed   maphash.Seed
 
 	// self, when non-nil, is a view over buf itself (BuildIndexed): the only
 	// input is the output under construction, so a single-ref merge is the
 	// identity and emit keeps the view in step with every appended record.
 	self *CubeView
 
-	// single memoizes the translation of one input sub-dwarf; multi
-	// memoizes genuine k-way merges by their input reference set. Both map
-	// to output node ids.
-	single []map[uint64]uint32
-	multi  map[string]uint32
+	// single memoizes the translation of one input sub-dwarf, densely:
+	// single[view][id-1] is its output id, 0 when not merged yet. multi
+	// memoizes genuine k-way merges by their input reference set.
+	single [][]uint32
+	multi  refMemo
 
 	levels []levelScratch
 	rec    []byte // record under construction (only used at emit time)
@@ -242,60 +271,152 @@ type viewMerger struct {
 	shared int
 }
 
-// newViewMerger prepares a merge of views into a stream whose header
-// carries dims, numTuples and fromQuery.
-func newViewMerger(views []*CubeView, dims []string, numTuples uint64, fromQuery bool) *viewMerger {
-	ndims := len(dims)
-	single := make([]map[uint64]uint32, len(views))
-	for i := range single {
-		single[i] = make(map[uint64]uint32)
+// merger readies sc's merger for a merge of views into a stream whose
+// header carries dims, numTuples and fromQuery, keeping every table and
+// buffer it grew before.
+func (sc *Scratch) merger(views []*CubeView, dims []string, numTuples uint64, fromQuery bool) *viewMerger {
+	m := &sc.m
+	if m.canon == nil {
+		m.canon = make([]uint32, 64)
+		m.seed = maphash.MakeSeed()
 	}
-	head := appendStreamHead(nil, dims, numTuples, fromQuery, 0)
-	head = head[:len(head)-1] // the one-byte zero node count
-	return &viewMerger{
-		ndims:  ndims,
-		views:  views,
-		head:   head,
-		buf:    make([]byte, len(head)+binary.MaxVarintLen32),
-		canon:  make(map[uint64]uint32),
-		seed:   maphash.MakeSeed(),
-		single: single,
-		multi:  make(map[string]uint32),
-		levels: make([]levelScratch, ndims),
+	m.ndims = len(dims)
+	m.views = append(m.views[:0], views...)
+	head := appendStreamHead(m.head[:0], dims, numTuples, fromQuery, 0)
+	m.head = head[:len(head)-1] // the one-byte zero node count
+	m.buf = slices.Grow(m.buf[:0], len(m.head)+binary.MaxVarintLen32)[:len(m.head)+binary.MaxVarintLen32]
+	m.starts, m.allOffs, m.hashes = m.starts[:0], m.allOffs[:0], m.hashes[:0]
+	clear(m.canon)
+	m.self = nil
+	m.single = slices.Grow(m.single[:0], len(views))[:len(views)]
+	for i, v := range views {
+		memo := slices.Grow(m.single[i][:0], len(v.starts))[:len(v.starts)]
+		clear(memo)
+		m.single[i] = memo
 	}
+	m.multi.reset()
+	if len(m.levels) < m.ndims {
+		m.levels = append(m.levels, make([]levelScratch, m.ndims-len(m.levels))...)
+	}
+	m.cells, m.shared = 0, 0
+	return m
 }
 
 // merge returns the output id of the sub-dwarf merging refs (all at the
 // given level), memoized so shared input structure is merged once.
 func (m *viewMerger) merge(refs []nref, level int) (uint32, error) {
 	if len(refs) == 1 {
+		r := refs[0]
 		if m.self != nil {
-			return uint32(refs[0].id), nil
+			return uint32(r.id), nil
 		}
-		if id, ok := m.single[refs[0].view][refs[0].id]; ok {
+		memo := m.single[r.view]
+		if r.id == 0 || r.id > uint64(len(memo)) {
+			// Out of range: mergeNodes reports the corrupt reference.
+			return m.mergeNodes(refs, level)
+		}
+		if id := memo[r.id-1]; id != 0 {
 			return id, nil
 		}
 		id, err := m.mergeNodes(refs, level)
 		if err == nil {
-			m.single[refs[0].view][refs[0].id] = id
+			memo[r.id-1] = id
 		}
 		return id, err
 	}
 	m.key = m.key[:0]
 	for _, r := range refs {
-		m.key = binary.AppendUvarint(m.key, uint64(r.view))
+		if len(m.views) > 1 {
+			m.key = binary.AppendUvarint(m.key, uint64(r.view))
+		}
 		m.key = binary.AppendUvarint(m.key, r.id)
 	}
-	if id, ok := m.multi[string(m.key)]; ok {
+	h := maphash.Bytes(m.seed, m.key)
+	if id := m.multi.get(h, m.key); id != 0 {
 		return id, nil
 	}
-	// The recursion reuses m.key, so the memo key is taken now.
-	key := string(m.key)
+	// The recursion reuses m.key, so the memo key is stored now.
+	key := m.multi.store(m.key)
 	id, err := m.mergeNodes(refs, level)
 	if err == nil {
-		m.multi[key] = id
+		m.multi.put(h, key, id)
 	}
 	return id, err
+}
+
+// refMemo memoizes k-way merges: an open-addressed table from a reference
+// set's encoded bytes to the merge's output id. The keys lie back to back
+// in one arena, each behind its uvarint length, so once the table and the
+// arena have grown, a miss allocates nothing.
+type refMemo struct {
+	slots []memoSlot // a power of two long, at most half full
+	arena []byte
+	n     int
+}
+
+// memoSlot is one refMemo entry: the key's hash and arena offset, and the
+// merge's output id, 0 marking an empty slot.
+type memoSlot struct {
+	hash    uint64
+	off, id uint32
+}
+
+func (t *refMemo) reset() {
+	clear(t.slots)
+	t.arena = t.arena[:0]
+	t.n = 0
+}
+
+// get returns the id stored under key (whose hash is h), or 0.
+func (t *refMemo) get(h uint64, key []byte) uint32 {
+	mask := uint64(len(t.slots) - 1)
+	for i := h & mask; len(t.slots) > 0; i = (i + 1) & mask {
+		s := &t.slots[i]
+		if s.id == 0 {
+			return 0
+		}
+		if s.hash == h && bytes.Equal(t.key(s.off), key) {
+			return s.id
+		}
+	}
+	return 0
+}
+
+// store copies key into the arena for a later put, returning its offset.
+func (t *refMemo) store(key []byte) uint32 {
+	off := uint32(len(t.arena))
+	t.arena = appendKey(t.arena, key)
+	return off
+}
+
+// key returns the key stored at off.
+func (t *refMemo) key(off uint32) []byte {
+	n, w := binary.Uvarint(t.arena[off:])
+	return t.arena[int(off)+w : int(off)+w+int(n)]
+}
+
+// put records id under the key stored at off, which get has just missed.
+func (t *refMemo) put(h uint64, off, id uint32) {
+	if 2*(t.n+1) > len(t.slots) {
+		old := t.slots
+		t.slots = make([]memoSlot, max(64, 2*len(old)))
+		for i := range old {
+			if old[i].id != 0 {
+				t.insert(old[i])
+			}
+		}
+	}
+	t.insert(memoSlot{hash: h, off: off, id: id})
+	t.n++
+}
+
+func (t *refMemo) insert(e memoSlot) {
+	mask := uint64(len(t.slots) - 1)
+	i := e.hash & mask
+	for t.slots[i].id != 0 {
+		i = (i + 1) & mask
+	}
+	t.slots[i] = e
 }
 
 // mergeNodes performs the k-way cell merge of refs and emits the resulting
@@ -308,11 +429,12 @@ func (m *viewMerger) mergeNodes(refs []nref, level int) (uint32, error) {
 	sc.iters = slices.Grow(sc.iters[:0], len(refs))[:len(refs)]
 	for i, r := range refs {
 		it := &sc.iters[i]
-		n, err := m.views[r.view].node(r.id)
-		if err != nil {
+		var err error
+		if it.n, err = m.views[r.view].node(r.id); err != nil {
 			return 0, err
 		}
-		*it = cellIter{view: r.view, n: n}
+		it.view, it.done, it.key = r.view, false, nil
+		n := &it.n
 		if n.level != level {
 			return 0, errCorrupt("merge: input %d node %d at level %d, want %d", r.view, r.id, n.level, level)
 		}
@@ -437,9 +559,10 @@ func (m *viewMerger) emit(level int, leaf bool, cells []mcell, allID uint32, all
 	m.rec = rec
 
 	h := maphash.Bytes(m.seed, rec)
-	head := m.canon[h]
-	for id := head; id != 0; id = m.chain[id-1] {
-		if bytes.Equal(rec, m.record(id)) {
+	mask := uint64(len(m.canon) - 1)
+	slot := h & mask
+	for ; m.canon[slot] != 0; slot = (slot + 1) & mask {
+		if id := m.canon[slot]; m.hashes[id-1] == h && bytes.Equal(rec, m.record(id)) {
 			m.shared++
 			return id, nil
 		}
@@ -452,8 +575,12 @@ func (m *viewMerger) emit(level int, leaf bool, cells []mcell, allID uint32, all
 	m.starts = append(m.starts, start)
 	m.allOffs = append(m.allOffs, start+uint32(allOff))
 	id := uint32(len(m.starts))
-	m.canon[h] = id
-	m.chain = append(m.chain, head)
+	m.hashes = append(m.hashes, h)
+	if 2*len(m.starts) > len(m.canon) {
+		m.rehash()
+	} else {
+		m.canon[slot] = id
+	}
 	m.cells += len(cells)
 	if v := m.self; v != nil {
 		// Keep the self-view's node index, fanout headers included, in
@@ -467,6 +594,19 @@ func (m *viewMerger) emit(level int, leaf bool, cells []mcell, allID uint32, all
 	return id, nil
 }
 
+// rehash doubles the content table and re-enters every emitted node.
+func (m *viewMerger) rehash() {
+	m.canon = make([]uint32, 2*len(m.canon))
+	mask := uint64(len(m.canon) - 1)
+	for i, h := range m.hashes {
+		slot := h & mask
+		for m.canon[slot] != 0 {
+			slot = (slot + 1) & mask
+		}
+		m.canon[slot] = uint32(i + 1)
+	}
+}
+
 // record returns the bytes of emitted node id: records lie back to back,
 // so each ends where the next one starts.
 func (m *viewMerger) record(id uint32) []byte {
@@ -478,15 +618,22 @@ func (m *viewMerger) record(id uint32) []byte {
 
 // assemble finishes the stream in buf: v1 header written in front of the
 // records, root id, CRC, then the v2 offset trailer and the v3 zone-map
-// section — the byte-for-byte layout EncodeIndexed produces.
+// section — the byte-for-byte layout EncodeIndexed produces. buf grows to
+// its final size once, up front, so the result is one slice of it.
 func (m *viewMerger) assemble(rootOut uint32) ([]byte, error) {
-	count := binary.AppendUvarint(nil, uint64(len(m.starts)))
+	var countBuf [binary.MaxVarintLen64]byte
+	count := countBuf[:binary.PutUvarint(countBuf[:], uint64(len(m.starts)))]
 	nodesStart := len(m.head) + len(count)
 	off := len(m.head) + binary.MaxVarintLen32 - nodesStart
 	zones, err := m.zoneMaps(rootOut)
 	if err != nil {
 		return nil, err
 	}
+	tail := 96 + 8*len(m.starts)
+	for i := range zones {
+		tail += 3*binary.MaxVarintLen64 + len(zones[i].Min) + len(zones[i].Max)
+	}
+	m.buf = slices.Grow(m.buf, tail)
 	out := m.buf[off:]
 	copy(out, m.head)
 	copy(out[len(m.head):], count)
@@ -555,7 +702,8 @@ func (m *viewMerger) zoneMaps(root uint32) ([]ZoneMap, error) {
 // grow returns b with room for n more bytes, doubling its capacity when it
 // must grow. append grows a large slice by only 1.25x, so a stream written
 // record by record would otherwise be copied, and left as garbage, many
-// times over.
+// times over. A reused Scratch keeps the grown buffer, so only a build
+// larger than every earlier one pays for growing.
 func grow(b []byte, n int) []byte {
 	if len(b)+n <= cap(b) {
 		return b
