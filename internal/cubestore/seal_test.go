@@ -136,11 +136,26 @@ func TestStoreSealScratchAliasing(t *testing.T) {
 	}
 }
 
-// openYieldStore leaves a store with two level-0 segments, one full
-// compaction's worth at CompactFanout 2, and a frozen memtable whose seal
-// fails. The two segments are sealed in one drain that then fails on the
-// third memtable, so no background compaction ran in between.
-func openYieldStore(t *testing.T) *Store {
+// yieldStore is a store with two level-0 segments, one full compaction's
+// worth at CompactFanout 2, and a frozen memtable whose seal the sealer
+// holds at its failpoint (see openYieldStore).
+type yieldStore struct {
+	*Store
+	result chan error
+	// attempts counts seal attempts; with failCompact set, every
+	// compaction fails after writing its output.
+	attempts    atomic.Int32
+	failCompact atomic.Bool
+}
+
+// release ends the held seal with err; with a non-nil err every later
+// seal attempt fails too, until the failpoint is cleared.
+func (y *yieldStore) release(err error) { y.result <- err }
+
+// openYieldStore sets up a yieldStore. The two segments are sealed in the
+// drain that holds the third seal, so that drain has kicked no compaction
+// yet, and with SealAge 0 no tick compacts.
+func openYieldStore(t *testing.T) *yieldStore {
 	t.Helper()
 	s, err := Open(t.TempDir(), Options{
 		Dims:          testDims,
@@ -152,7 +167,7 @@ func openYieldStore(t *testing.T) *Store {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { s.Close() })
+	y := &yieldStore{Store: s, result: make(chan error, 1)}
 	rng := rand.New(rand.NewSource(302))
 	if err := s.Append(randTuples(rng, 10)); err != nil {
 		t.Fatal(err)
@@ -160,19 +175,36 @@ func openYieldStore(t *testing.T) *Store {
 	waitForStats(t, s, "first seal", func(st Stats) bool { return st.Seals == 1 })
 
 	// The next seal waits at its failpoint until the third memtable has
-	// frozen behind it; every seal after it fails.
-	reached, gate := make(chan struct{}), make(chan struct{})
-	var calls atomic.Int32
+	// frozen behind it; the seal after it is held until release.
+	reached, gate, held := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	var later error
 	s.setFailpoint(func(name string) error {
-		if name != fpSealBuilt {
-			return nil
+		switch name {
+		case fpCompactSegmentWritten:
+			if y.failCompact.Load() {
+				return errInjected
+			}
+		case fpSealBuilt:
+			switch y.attempts.Add(1) {
+			case 1:
+				close(reached)
+				<-gate
+			case 2:
+				close(held)
+				later = <-y.result
+				return later
+			default:
+				return later
+			}
 		}
-		if calls.Add(1) == 1 {
-			close(reached)
-			<-gate
-			return nil
+		return nil
+	})
+	t.Cleanup(func() {
+		select {
+		case y.result <- errInjected:
+		default:
 		}
-		return errInjected
+		s.Close()
 	})
 	if err := s.Append(randTuples(rng, 10)); err != nil {
 		t.Fatal(err)
@@ -182,42 +214,69 @@ func openYieldStore(t *testing.T) *Store {
 		t.Fatal(err)
 	}
 	close(gate)
-	waitForStats(t, s, "two segments and a failed seal", func(st Stats) bool {
-		return st.Seals == 2 && st.SealQueueDepth == 1 && st.LastSealError != ""
-	})
-	if st := s.Stats(); st.Compactions != 0 || len(st.Segments) != 2 {
-		t.Fatalf("set-up compacted: %+v", st)
+	<-held
+	if st := s.Stats(); st.Seals != 2 || st.SealQueueDepth != 1 || st.Compactions != 0 || len(st.Segments) != 2 {
+		t.Fatalf("set-up: %+v", st)
 	}
-	return s
+	return y
 }
 
 // TestStoreCompactionYieldsToSeals: background compaction starts no merge
-// while a frozen memtable waits, runs once the sealer drains the queue,
-// and an explicit Compact is not held back.
+// while a frozen memtable waits, and runs once the queue drains, whether
+// the background sealer or an explicit Seal drains it. A failed seal does
+// not hold compaction back, nor is an explicit Compact held back.
 func TestStoreCompactionYieldsToSeals(t *testing.T) {
 	t.Run("background", func(t *testing.T) {
-		s := openYieldStore(t)
-		s.compactBackground()
-		if st := s.Stats(); st.Compactions != 0 || len(st.Segments) != 2 {
+		y := openYieldStore(t)
+		y.compactBackground()
+		if st := y.Stats(); st.Compactions != 0 || len(st.Segments) != 2 {
 			t.Fatalf("background compaction ran with a seal queued: %d compactions, %d segments",
 				st.Compactions, len(st.Segments))
 		}
-		s.setFailpoint(nil)
-		s.kickSeal()
-		waitForStats(t, s, "compaction after the drain", func(st Stats) bool {
+		y.release(nil)
+		waitForStats(t, y.Store, "compaction after the drain", func(st Stats) bool {
 			return st.SealQueueDepth == 0 && st.Compactions == 1
 		})
-		if got := s.TotalTuples(); got != 30 {
+		if got := y.TotalTuples(); got != 30 {
 			t.Fatalf("store holds %d tuples, want 30", got)
 		}
 	})
-	t.Run("explicit", func(t *testing.T) {
-		s := openYieldStore(t)
-		n, err := s.Compact()
+	t.Run("failed-seal", func(t *testing.T) {
+		// The drain that sealed the second segment stops on the held
+		// seal's failure and kicks the compactor, which must not wait on
+		// a queue that a failing sealer keeps.
+		y := openYieldStore(t)
+		y.release(errInjected)
+		waitForStats(t, y.Store, "compaction beside the failed seal", func(st Stats) bool {
+			return st.Compactions == 1 && st.SealQueueDepth == 1 && st.LastSealError != ""
+		})
+	})
+	t.Run("explicit-seal", func(t *testing.T) {
+		// The sealer's drain kicks a compaction that fails; its retry,
+		// which the third memtable's freeze kicked while the sealer was
+		// busy, fails and seals nothing. The explicit Seal that then
+		// empties the queue must kick the compactor again.
+		y := openYieldStore(t)
+		y.failCompact.Store(true)
+		y.release(errInjected)
+		waitForStats(t, y.Store, "the failed compaction and seal retry", func(st Stats) bool {
+			return y.attempts.Load() >= 3 && st.LastCompactError != ""
+		})
+		y.setFailpoint(nil)
+		if err := y.Seal(); err != nil {
+			t.Fatal(err)
+		}
+		waitForStats(t, y.Store, "compaction after the explicit seal", func(st Stats) bool {
+			return st.SealQueueDepth == 0 && st.Compactions == 1
+		})
+	})
+	t.Run("explicit-compact", func(t *testing.T) {
+		y := openYieldStore(t)
+		n, err := y.Compact()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st := s.Stats(); n != 1 || st.Compactions != 1 || st.SealQueueDepth != 1 {
+		if st := y.Stats(); n != 1 || st.Compactions != 1 || st.SealQueueDepth != 1 {
 			t.Fatalf("explicit Compact beside a queued seal: ran %d, stats %+v", n, st)
 		}
 	})

@@ -895,13 +895,7 @@ func (s *Store) sealer() {
 			return
 		case <-s.sealKick:
 		}
-		if n, err := s.drainFrozen(); err == nil && n > 0 {
-			// New segments may have made a compaction level full.
-			select {
-			case s.kick <- struct{}{}:
-			default:
-			}
-		}
+		s.drainFrozen()
 	}
 }
 
@@ -912,12 +906,22 @@ func (s *Store) sealer() {
 // sealed memtable's walGenHi+1. Every seal of one drain builds in the same
 // dwarf.Scratch, so a queue of seals reuses one output buffer and one set
 // of tables; the scratch is dropped when the drain returns, and an idle
-// store holds none.
-func (s *Store) drainFrozen() (int, error) {
+// store holds none. A drain that sealed anything kicks the compactor, the
+// background sealer's and an explicit Seal's alike: new segments may have
+// made a level full, and a background compaction that yielded to this
+// queue (see compactBackground) is owed its run.
+func (s *Store) drainFrozen() (sealed int, err error) {
 	s.sealMu.Lock()
 	defer s.sealMu.Unlock()
+	defer func() {
+		if sealed > 0 {
+			select {
+			case s.kick <- struct{}{}:
+			default:
+			}
+		}
+	}()
 	var sc dwarf.Scratch
-	sealed := 0
 	for {
 		s.mu.Lock()
 		if s.closed {
@@ -1135,8 +1139,9 @@ func (s *Store) background() {
 // failures — a store whose maintenance is stuck must stay queryable and
 // appendable, but visibly so (Stats.LastCompactError). It yields to queued
 // seals: no merge starts while a frozen memtable waits, so a burst of
-// appends gets the CPU for sealing, and the sealer's kick after its drain
-// brings compaction back.
+// appends gets the CPU for sealing, and the kick at the end of the drain
+// brings compaction back. A queue held up by a failed seal is no reason
+// to yield, so a stuck sealer does not stop compaction.
 func (s *Store) compactBackground() {
 	if s.opts.DisableAutoCompact {
 		return
@@ -1148,11 +1153,13 @@ func (s *Store) compactBackground() {
 	}
 }
 
-// sealQueued reports whether a frozen memtable waits to seal.
+// sealQueued reports whether a frozen memtable waits to seal and no seal
+// failure is on record (lastSealErr, cleared by the next successful seal,
+// or sealAborted).
 func (s *Store) sealQueued() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.frozen) > 0
+	return len(s.frozen) > 0 && s.lastSealErr == "" && s.sealAborted == nil
 }
 
 func (s *Store) sealIfAged() {
@@ -1195,8 +1202,8 @@ func (s *Store) Compact() (int, error) {
 }
 
 // compact is Compact; with yield set it stops before any merge that would
-// start while a frozen memtable waits to seal, and then leaves the rollups
-// for the run after the drain. The merges of one call share a dwarf.Scratch.
+// start while sealQueued, and then leaves the rollups for the run after the
+// drain. The merges of one call share a dwarf.Scratch.
 func (s *Store) compact(yield bool) (int, error) {
 	s.compactMu.Lock()
 	defer s.compactMu.Unlock()

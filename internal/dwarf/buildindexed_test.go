@@ -174,9 +174,10 @@ func FuzzBuildIndexed(f *testing.F) {
 	f.Add(enc(2, "abc", 1e16, "abd", 1.0, "acc", -1e16, "abc", 3.5))
 	f.Add(enc(3, "abcd", -2.25, "abce", 7.0, "bbcd", 1e-3, "abcd", 1e300))
 	f.Add(enc(1, "aa", math.Inf(1)))
-	// Enough rows for sortPerm's radix path, duplicates included.
+	// A seal-like input: many rows over few keys per dimension, so
+	// sortPerm's counting passes run with duplicates in every bucket.
 	var rows []any
-	for i := 0; i < 3*radixMin; i++ {
+	for i := 0; i < 192; i++ {
 		rows = append(rows, string([]byte{'a' + byte(i%5), 'a' + byte(i/5%5), 'a' + byte(i/25%5)}), float64(i%7)-3)
 	}
 	f.Add(enc(2, rows...))

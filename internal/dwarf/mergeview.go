@@ -247,7 +247,10 @@ type viewMerger struct {
 
 	// canon is the content table: an open-addressed set of emitted node
 	// ids, a power of two long and at most half full, probed by record
-	// hash; hashes[id-1] is node id's.
+	// hash; hashes[id-1] is node id's. It beats a map of hash to newest id
+	// plus a collision chain on a memtable fold's small builds, each in a
+	// fresh Scratch: on 2 CPUs, BenchmarkMemtableFold ran 7 % faster (12
+	// of 14 alternating runs) and allocated 4 % fewer bytes.
 	canon  []uint32
 	hashes []uint64
 	seed   maphash.Seed

@@ -27,11 +27,6 @@ func (f aggFacts) len() int            { return len(f) }
 func (f aggFacts) keys(i int) []string { return f[i].Dims }
 func (f aggFacts) agg(i int) Aggregate { return f[i].Agg }
 
-// radixMin is the input length from which sortPerm ranks keys and radix
-// sorts; shorter inputs (a memtable fold's few-tuple tail) take the
-// comparison sort, which needs no rank table.
-const radixMin = 64
-
 // sortScratch is sortPerm's working memory, reusable across sorts.
 type sortScratch struct {
 	perm, tmp []int32
@@ -51,11 +46,11 @@ type sortScratch struct {
 // merges them exactly as a stable sort of copies would. The result aliases
 // sc and is valid until its next sortPerm.
 //
-// From radixMin facts on, the sort is a least-significant-digit radix sort
-// of the permutation: each dimension's distinct keys are ranked once with
-// strings.Compare, then one stable counting pass per dimension, last
-// dimension first, orders the permutation by rank. A dimension with a
-// single distinct key needs no pass.
+// The sort is a least-significant-digit radix sort of the permutation:
+// each dimension's distinct keys are ranked once with strings.Compare, then
+// one stable counting pass per dimension, last dimension first, orders the
+// permutation by rank. A dimension with a single distinct key needs no
+// pass.
 func sortPerm(f facts, sc *sortScratch) []int32 {
 	n := f.len()
 	perm := slices.Grow(sc.perm[:0], n)[:n]
@@ -63,10 +58,7 @@ func sortPerm(f facts, sc *sortScratch) []int32 {
 		perm[i] = int32(i)
 	}
 	sc.perm = perm
-	if n < radixMin {
-		slices.SortStableFunc(perm, func(a, b int32) int {
-			return compareDims(f.keys(int(a)), f.keys(int(b)))
-		})
+	if n < 2 {
 		return perm
 	}
 	if sc.ids == nil {
