@@ -3,6 +3,7 @@ package cubestore
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -236,6 +237,66 @@ func TestStoreGroupCommitAccounting(t *testing.T) {
 	}
 	if st.Appended != int64(total) || s.TotalTuples() != total {
 		t.Errorf("appended %d / total %d, want %d", st.Appended, s.TotalTuples(), total)
+	}
+}
+
+// TestStoreGroupCommitClosedLoopWriters: two durable closed-loop writers
+// share fsyncs. While one writer's fsync runs only the other can queue, so
+// a committer that cut the next group as soon as it acked would commit one
+// batch a group forever; yielding after the acks lets the writer it woke
+// queue its next batch first. A lone writer still gets a group of its own
+// per batch, and the accounting identity holds either way.
+//
+// The test runs on one P, the case the yield serves: the committer shares
+// its CPU with the writers (in a loaded store the sealer holds the other
+// one). With an idle P, the scheduler may run the yielding committer there
+// before the woken writer is back, and groups stay near one batch; see
+// docs/STORE.md.
+func TestStoreGroupCommitClosedLoopWriters(t *testing.T) {
+	const batchesPer = 300
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, writers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("writers%d", writers), func(t *testing.T) {
+			s, err := Open(t.TempDir(), Options{
+				Dims:               testDims,
+				SealTuples:         1 << 30,
+				DisableAutoCompact: true,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			var wg sync.WaitGroup
+			for w := 0; w < writers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					rng := rand.New(rand.NewSource(int64(4000 + w)))
+					for b := 0; b < batchesPer; b++ {
+						if err := s.Append(randTuples(rng, 8)); err != nil {
+							t.Errorf("writer %d: %v", w, err)
+							return
+						}
+					}
+				}(w)
+			}
+			wg.Wait()
+			if t.Failed() {
+				return
+			}
+			st := s.Stats()
+			batches := int64(writers * batchesPer)
+			if st.GroupCommits+st.FsyncsSaved != batches {
+				t.Errorf("GroupCommits %d + FsyncsSaved %d != %d acked batches", st.GroupCommits, st.FsyncsSaved, batches)
+			}
+			if writers == 1 && st.GroupCommits != batches {
+				t.Errorf("a lone writer committed %d batches in %d groups", batches, st.GroupCommits)
+			}
+			if writers > 1 && 10*st.GroupCommits > 8*batches {
+				t.Errorf("%d closed-loop writers committed %d batches in %d groups: more than 0.8 groups a batch",
+					writers, batches, st.GroupCommits)
+			}
+		})
 	}
 }
 

@@ -35,6 +35,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -283,10 +284,12 @@ type Store struct {
 	// fsyncsSaved counts synced batches that shared a group leader's fsync
 	// instead of issuing their own, so groupCommits + fsyncsSaved equals
 	// the number of acked synced batches. frozenTotal counts lifetime
-	// freezes.
-	groupCommits atomic.Int64
-	fsyncsSaved  atomic.Int64
-	frozenTotal  atomic.Int64
+	// freezes. backpressureNs is the time commits spent waiting for the
+	// sealer to free a frozen slot (BenchmarkStoreIngest reports it).
+	groupCommits   atomic.Int64
+	fsyncsSaved    atomic.Int64
+	frozenTotal    atomic.Int64
+	backpressureNs atomic.Int64
 
 	// dirSyncErrs counts failed directory syncs after post-commit file
 	// deletions (dead WAL gens, replaced rollups). Not fatal — the orphans
@@ -629,8 +632,9 @@ type commitReq struct {
 // memtable's buffer — when Append returns, every tuple is crash-safe
 // (unless NoSync) and visible to queries. Concurrent Appends are
 // group-committed: the committer goroutine writes every queued record and
-// issues one fsync for the whole group, so N concurrent writers share a
-// single disk flush instead of serializing N of them. Reaching the seal
+// issues one fsync for the whole group, so writers that queue together
+// share a single disk flush (see committer for how closed-loop writers
+// come to queue together). Reaching the seal
 // threshold freezes the memtable for the background sealer; the ack never
 // waits on a seal or a cube build.
 func (s *Store) Append(tuples []dwarf.Tuple) error {
@@ -695,6 +699,16 @@ func (s *Store) committer() {
 			return
 		}
 		s.commitGroup(group)
+		if !s.opts.NoSync {
+			// The acks just woke the group's writers, but none has had a CPU
+			// to enqueue its next batch yet. Cutting the next group now
+			// would take only the writers that queued during the fsync —
+			// with two closed-loop writers, one batch a group, every time.
+			// One yield lets the runnable writers enqueue first, so they
+			// share the next fsync; it waits for no timer, and a lone
+			// writer pays one scheduler round trip.
+			runtime.Gosched()
+		}
 	}
 }
 
@@ -714,11 +728,13 @@ func (s *Store) commitGroup(group []*commitReq) {
 	for !s.closed && s.sealAborted == nil && s.memCount >= s.opts.SealTuples && len(s.frozen) >= s.opts.MaxFrozen {
 		s.kickSeal()
 		s.mu.Unlock()
+		waited := time.Now()
 		select {
 		case <-s.frozenFreed:
 		case <-s.closing:
 		case <-time.After(50 * time.Millisecond):
 		}
+		s.backpressureNs.Add(int64(time.Since(waited)))
 		s.mu.Lock()
 	}
 	if s.closed {

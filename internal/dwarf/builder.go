@@ -244,7 +244,7 @@ func (b *builder) newNode(level int) *Node {
 // permutation, the one BuildIndexed scans, gathered.
 func sortTuples(tuples []AggTuple) []AggTuple {
 	var sc sortScratch
-	perm := sortPerm(aggFacts(tuples), &sc)
+	perm := sortPerm(aggFacts(tuples), &sc, false)
 	sorted := make([]AggTuple, len(tuples))
 	for i, p := range perm {
 		sorted[i] = tuples[p]

@@ -9,8 +9,10 @@ import "unsafe"
 // of them with New's sort (sortPerm), runs New's sorted scan over it with
 // the same duplicate fold, and closes every node straight into a record
 // through the emitter MergeViews uses. Each ALL cell is one k-way merge of
-// the node's already-emitted children, read back from the output itself,
-// with the inputs and left-fold order of suffixCoalesce. Stores use it
+// the node's already-emitted children, with the inputs and left-fold order
+// of suffixCoalesce. The merge reads the children as emit kept them
+// decoded, and compares keys by their rank in the sort (mergeSelf), so no
+// record is parsed back and no key compared byte by byte. Stores use it
 // wherever a fresh build goes straight to a file.
 func BuildIndexed(dims []string, tuples []Tuple) ([]byte, error) {
 	return new(Scratch).BuildIndexed(dims, tuples)
@@ -38,17 +40,13 @@ func (sc *Scratch) BuildIndexed(dims []string, tuples []Tuple) ([]byte, error) {
 	return sc.build(dims, rawFacts(tuples), uint64(len(tuples)))
 }
 
-// build is BuildIndexed over validated facts. The merger's only input is a
-// view over its own output (self), kept in step by emit.
+// build is BuildIndexed over validated facts. The merger's only input is
+// its own output (self), whose cells emit keeps decoded, keyed by rank.
 func (sc *Scratch) build(dims []string, f facts, numTuples uint64) ([]byte, error) {
-	self := &sc.self
-	*self = CubeView{
-		hdr:    viewHeader{dims: dims},
-		levels: self.levels[:0], ncells: self.ncells[:0], cellsOff: self.cellsOff[:0],
-	}
-	m := sc.merger([]*CubeView{self}, dims, numTuples, false)
-	m.self = self
-	b := streamBuilder{m: m, open: sc.open, refs: sc.refs}
+	m := sc.merger(nil, dims, numTuples, false)
+	perm := sortPerm(f, &sc.sort, true)
+	m.self, m.keys = true, sc.sort.keys
+	b := streamBuilder{m: m, open: sc.open, refs: sc.refs, ranks: sc.sort.ranks}
 	if len(b.open) < len(dims) {
 		b.open = make([][]mcell, len(dims))
 	}
@@ -56,7 +54,7 @@ func (sc *Scratch) build(dims []string, f facts, numTuples uint64) ([]byte, erro
 		// A failed build may have left cells open.
 		b.open[l] = b.open[l][:0]
 	}
-	root, err := b.build(f, sortPerm(f, &sc.sort))
+	root, err := b.build(f, perm)
 	sc.open, sc.refs = b.open, b.refs
 	if err != nil {
 		return nil, err
@@ -68,9 +66,10 @@ func (sc *Scratch) build(dims []string, f facts, numTuples uint64) ([]byte, erro
 // the open node. A non-leaf cell's child is filled in when the scan closes
 // the node below it.
 type streamBuilder struct {
-	m    *viewMerger
-	open [][]mcell
-	refs []nref
+	m     *viewMerger
+	open  [][]mcell
+	refs  []nref
+	ranks [][]int32 // sortScratch.ranks
 }
 
 // build is builder.scanRuns at full depth over the facts in sorted order
@@ -103,7 +102,7 @@ func (b *streamBuilder) build(f facts, perm []int32) (uint32, error) {
 		}
 		// Open the new suffix: one new cell per level from p down.
 		for l := p; l < nd; l++ {
-			c := mcell{key: keyBytes(keys[l])}
+			c := mcell{key: keyBytes(keys[l]), rank: b.ranks[l][ti]}
 			if l == nd-1 {
 				c.agg = f.agg(int(ti))
 			}

@@ -173,14 +173,15 @@ func (inc *Incremental) Buffered() int {
 }
 
 // RunStats reports the folded runs and the bytes they hold: each run's
-// encoded bytes plus its view's heap index (CubeView.heapBytes), without
+// output buffer, whose capacity stays pinned however much of it the
+// encoding fills, plus its view's heap index (CubeView.heapBytes), without
 // folding.
 func (inc *Incremental) RunStats() (runs, bytes int) {
 	inc.mu.Lock()
 	r := inc.runs
 	inc.mu.Unlock()
 	for i, d := range r.data {
-		bytes += len(d) + r.views[i].heapBytes()
+		bytes += cap(d) + r.views[i].heapBytes()
 	}
 	return len(r.data), bytes
 }
@@ -213,6 +214,7 @@ type Runs struct {
 // counts, so it is found first and written as one k-way MergeViews, which
 // reads each input once instead of re-merging every intermediate run.
 func (r *Runs) with(data []byte) (*Runs, error) {
+	data = fit(data)
 	v, err := OpenViewTrusted(data)
 	if err != nil {
 		return nil, err
@@ -230,6 +232,7 @@ func (r *Runs) with(data []byte) (*Runs, error) {
 		if data, _, err = MergeViewsBytes(next.views[n+1-k:]...); err != nil {
 			return nil, err
 		}
+		data = fit(data)
 		if v, err = OpenViewTrusted(data); err != nil {
 			return nil, err
 		}
@@ -237,6 +240,19 @@ func (r *Runs) with(data []byte) (*Runs, error) {
 		next.views = append(next.views[:n+1-k], v)
 	}
 	return next, nil
+}
+
+// fit returns data in a buffer with at most half its length spare. A run
+// lives as long as its memtable, and the doubling output buffer it was
+// built in can pin up to twice its bytes: after 16,384 bike tuples folded
+// 20 at a time, 3.29 MB of buffers held 2.46 MB of runs. Copying every run
+// to its exact length cost cluster query p50s about 10 % in alternating
+// perfbench pairs on 2 CPUs, so only a buffer over half spare is copied.
+func fit(data []byte) []byte {
+	if cap(data)-len(data) <= len(data)/2 {
+		return data
+	}
+	return append(make([]byte, 0, len(data)), data...)
 }
 
 // Dims returns the dimension names in order.

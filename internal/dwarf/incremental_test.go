@@ -502,3 +502,38 @@ func runBytes(r *Runs) int {
 	}
 	return n
 }
+
+// TestRunStatsCountCapacity folds 20 tuples at a time and holds RunStats
+// (the store's memtable_run_bytes gauge) to what the runs pin: each run's
+// buffer capacity, not only the bytes the encoding fills, plus its view's
+// heap index. A kept run's buffer is trimmed when over half of it is
+// spare, so the doubling slack of the buffer a fold built or merged in
+// pins at most half a run's bytes.
+func TestRunStatsCountCapacity(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	dims := dimNames(4)
+	inc, err := NewIncremental(dims)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for b := 1; b <= 120; b++ {
+		if err := inc.AddBatch(intTuples(rng, len(dims), 20, 40)); err != nil {
+			t.Fatal(err)
+		}
+		r, err := inc.Runs()
+		if err != nil {
+			t.Fatal(err)
+		}
+		pinned := 0
+		for i, d := range r.data {
+			pinned += cap(d) + r.views[i].heapBytes()
+			if slack := cap(d) - len(d); slack > len(d)/2 {
+				t.Fatalf("after %d folds run %d pins %d B of buffer beyond its %d B", b, i, slack, len(d))
+			}
+		}
+		runs, bytes := inc.RunStats()
+		if runs != len(r.data) || bytes != pinned {
+			t.Fatalf("after %d folds: RunStats = %d runs, %d B; the runs are %d and pin %d B", b, runs, bytes, len(r.data), pinned)
+		}
+	}
+}

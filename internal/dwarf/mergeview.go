@@ -144,7 +144,7 @@ func (sc *Scratch) MergeViewsBytes(views ...*CubeView) ([]byte, MergeStats, erro
 
 // Scratch is the working memory of BuildIndexed and MergeViews, reusable
 // from one build or merge to the next: the output buffer, the node index
-// (starts, allOffs, hashes), the self-view's index slices, the content and
+// (starts, allOffs, hashes), a build's decoded cells, the content and
 // memo tables, the scan's open cells and the sort permutation. Once they
 // have grown to a workload's size, a build through a Scratch allocates
 // next to nothing, which is what lets a store seal a queue of memtables
@@ -156,7 +156,6 @@ func (sc *Scratch) MergeViewsBytes(views ...*CubeView) ([]byte, MergeStats, erro
 // concurrent use. The zero value is ready to use.
 type Scratch struct {
 	m    viewMerger
-	self CubeView
 	sort sortScratch
 	open [][]mcell
 	refs []nref
@@ -170,10 +169,12 @@ type nref struct {
 }
 
 // mcell is one merged cell awaiting emission. key aliases an input stream
-// (inputs are immutable for the duration of the merge).
+// (inputs are immutable for the duration of the merge); in a build, rank
+// is the key's rank in its dimension (see sortScratch.ranks).
 type mcell struct {
 	key   []byte
 	child uint32
+	rank  int32
 	agg   Aggregate
 }
 
@@ -227,6 +228,11 @@ type levelScratch struct {
 	cells     []mcell
 	childRefs []nref
 	allRefs   []nref
+
+	// mergeSelf's cursors: per input, the current cell's key rank
+	// (exhausted past the last cell) and the cell's position in dcells.
+	cur      []int32
+	pos, end []uint32
 }
 
 // viewMerger holds the merge state: the output under construction, the
@@ -255,10 +261,18 @@ type viewMerger struct {
 	hashes []uint64
 	seed   maphash.Seed
 
-	// self, when non-nil, is a view over buf itself (BuildIndexed): the only
-	// input is the output under construction, so a single-ref merge is the
-	// identity and emit keeps the view in step with every appended record.
-	self *CubeView
+	// self is set in a build (BuildIndexed): the only input is the output
+	// under construction, so a single-ref merge is the identity, and emit
+	// keeps every new node's cells decoded for mergeSelf to read back.
+	// keys[level][rank] is a rank's key (sortScratch.keys). Node id's
+	// cells are dcells[dstart[id-1]:dstart[id]] (the last node's run to
+	// the end); aggOffs is emit's scratch for the offsets of a leaf
+	// record's aggregates.
+	self    bool
+	keys    [][]string
+	dstart  []uint32
+	dcells  []dcell
+	aggOffs []uint32
 
 	// single memoizes the translation of one input sub-dwarf, densely:
 	// single[view][id-1] is its output id, 0 when not merged yet. multi
@@ -290,7 +304,8 @@ func (sc *Scratch) merger(views []*CubeView, dims []string, numTuples uint64, fr
 	m.buf = slices.Grow(m.buf[:0], len(m.head)+binary.MaxVarintLen32)[:len(m.head)+binary.MaxVarintLen32]
 	m.starts, m.allOffs, m.hashes = m.starts[:0], m.allOffs[:0], m.hashes[:0]
 	clear(m.canon)
-	m.self = nil
+	m.self, m.keys = false, nil
+	m.dstart, m.dcells = m.dstart[:0], m.dcells[:0]
 	m.single = slices.Grow(m.single[:0], len(views))[:len(views)]
 	for i, v := range views {
 		memo := slices.Grow(m.single[i][:0], len(v.starts))[:len(v.starts)]
@@ -310,7 +325,7 @@ func (sc *Scratch) merger(views []*CubeView, dims []string, numTuples uint64, fr
 func (m *viewMerger) merge(refs []nref, level int) (uint32, error) {
 	if len(refs) == 1 {
 		r := refs[0]
-		if m.self != nil {
+		if m.self {
 			return uint32(r.id), nil
 		}
 		memo := m.single[r.view]
@@ -427,6 +442,9 @@ func (t *refMemo) insert(e memoSlot) {
 // before the node itself — the same post-order Encode's VisitDepthFirst
 // walks, which is what makes output ids line up with a batch build's.
 func (m *viewMerger) mergeNodes(refs []nref, level int) (uint32, error) {
+	if m.self {
+		return m.mergeSelf(refs, level)
+	}
 	leaf := level == m.ndims-1
 	sc := &m.levels[level]
 	sc.iters = slices.Grow(sc.iters[:0], len(refs))[:len(refs)]
@@ -538,16 +556,127 @@ func (m *viewMerger) mergeNodes(refs []nref, level int) (uint32, error) {
 	return m.emit(level, leaf, sc.cells, allID, allAgg)
 }
 
+// dcell is one decoded cell of an emitted node: its key's rank, and its
+// child id or, at the leaf level, its aggregate's offset in buf. Leaf
+// aggregates are read back from the record (aggAt), which is cheaper than
+// keeping a 32-byte copy of each.
+type dcell struct {
+	rank int32
+	val  uint32
+}
+
+// aggAt decodes the aggregate the build wrote at buf[off:].
+func (m *viewMerger) aggAt(off uint32) Aggregate {
+	b := m.buf[off:]
+	cnt, _ := binary.Uvarint(b[24:])
+	return Aggregate{Sum: f64frombytes(b), Min: f64frombytes(b[8:]), Max: f64frombytes(b[16:]), Count: int64(cnt)}
+}
+
+// exhausted is mergeSelf's rank for an input past its last cell: above
+// every real rank, so the smallest current rank is the next key to merge.
+const exhausted = math.MaxInt32
+
+// mergeSelf is mergeNodes over the build's own output: it reads the
+// inputs' cells from the decoded arena emit keeps instead of parsing the
+// records back out of buf, and finds the smallest key by comparing ranks.
+// The arena is the build's own, so nothing needs validating. Cells, the
+// fold order of matching inputs (input order) and the child merges come
+// out exactly as mergeNodes would produce them from the records.
+func (m *viewMerger) mergeSelf(refs []nref, level int) (uint32, error) {
+	leaf := level == m.ndims-1
+	sc := &m.levels[level]
+	k := len(refs)
+	sc.cur = slices.Grow(sc.cur[:0], k)[:k]
+	sc.pos = slices.Grow(sc.pos[:0], k)[:k]
+	sc.end = slices.Grow(sc.end[:0], k)[:k]
+	for i, r := range refs {
+		lo, hi := m.dstart[r.id-1], uint32(len(m.dcells))
+		if int(r.id) < len(m.dstart) {
+			hi = m.dstart[r.id]
+		}
+		sc.pos[i], sc.end[i] = lo, hi
+		sc.cur[i] = exhausted
+		if lo < hi {
+			sc.cur[i] = m.dcells[lo].rank
+		}
+	}
+	keys := m.keys[level]
+	sc.cells = sc.cells[:0]
+	for {
+		lo := int32(exhausted)
+		for _, r := range sc.cur {
+			lo = min(lo, r)
+		}
+		if lo == exhausted {
+			break
+		}
+		c := mcell{key: keyBytes(keys[lo]), rank: lo}
+		// Matching inputs in input order: the leaf left-fold and the child
+		// reference order of mergeNodes.
+		sc.childRefs = sc.childRefs[:0]
+		for i, r := range sc.cur {
+			if r != lo {
+				continue
+			}
+			d := m.dcells[sc.pos[i]]
+			if leaf {
+				c.agg = MergeAggregates(c.agg, m.aggAt(d.val))
+			} else {
+				sc.childRefs = append(sc.childRefs, nref{id: uint64(d.val)})
+			}
+			sc.pos[i]++
+			sc.cur[i] = exhausted
+			if sc.pos[i] < sc.end[i] {
+				sc.cur[i] = m.dcells[sc.pos[i]].rank
+			}
+		}
+		if !leaf {
+			child, err := m.merge(sc.childRefs, level+1)
+			if err != nil {
+				return 0, err
+			}
+			c.child = child
+		}
+		sc.cells = append(sc.cells, c)
+	}
+
+	// A record's ALL value sits at its allOffs entry.
+	var allAgg Aggregate
+	var allID uint32
+	if leaf {
+		for _, r := range refs {
+			allAgg = MergeAggregates(allAgg, m.aggAt(m.allOffs[r.id-1]))
+		}
+	} else {
+		sc.allRefs = sc.allRefs[:0]
+		for _, r := range refs {
+			if id, _ := binary.Uvarint(m.buf[m.allOffs[r.id-1]:]); id != 0 {
+				sc.allRefs = append(sc.allRefs, nref{id: id})
+			}
+		}
+		if len(sc.allRefs) > 0 {
+			var err error
+			if allID, err = m.merge(sc.allRefs, level+1); err != nil {
+				return 0, err
+			}
+		}
+	}
+	return m.emit(level, leaf, sc.cells, allID, allAgg)
+}
+
 // emit encodes one node record, content-addresses it against every record
 // emitted so far, and either returns the existing id (suffix coalescing /
 // hash-consing on encoded bytes) or appends it as the next node.
 func (m *viewMerger) emit(level int, leaf bool, cells []mcell, allID uint32, allAgg Aggregate) (uint32, error) {
 	rec := appendRecordHead(m.rec[:0], level, leaf, len(cells))
-	headLen := len(rec)
+	m.aggOffs = m.aggOffs[:0]
 	for i := range cells {
 		c := &cells[i]
 		rec = appendKey(rec, c.key)
 		if leaf {
+			if m.self {
+				m.aggOffs = append(m.aggOffs, uint32(len(rec)))
+			}
 			rec = appendAggregate(rec, c.agg)
 		} else {
 			rec = binary.AppendUvarint(rec, uint64(c.child))
@@ -574,25 +703,29 @@ func (m *viewMerger) emit(level int, leaf bool, cells []mcell, allID uint32, all
 		return 0, ErrMergeTooLarge
 	}
 	start := uint32(len(m.buf))
-	m.buf = append(grow(m.buf, len(rec)), rec...)
-	m.starts = append(m.starts, start)
-	m.allOffs = append(m.allOffs, start+uint32(allOff))
+	// Growing, keep room for assemble's trailer too, so finishing the
+	// stream does not copy it once more.
+	m.buf = append(grow(m.buf, len(rec)+tailBytes(len(m.starts)+1)), rec...)
+	m.starts = append(grow(m.starts, 1), start)
+	m.allOffs = append(grow(m.allOffs, 1), start+uint32(allOff))
 	id := uint32(len(m.starts))
-	m.hashes = append(m.hashes, h)
+	m.hashes = append(grow(m.hashes, 1), h)
 	if 2*len(m.starts) > len(m.canon) {
 		m.rehash()
 	} else {
 		m.canon[slot] = id
 	}
 	m.cells += len(cells)
-	if v := m.self; v != nil {
-		// Keep the self-view's node index, fanout headers included, in
-		// step with the records so far.
-		v.data, v.starts, v.allOffs = m.buf, m.starts, m.allOffs
-		v.hdr.payloadEnd = len(m.buf)
-		v.levels = append(v.levels, uint16(level))
-		v.ncells = append(v.ncells, uint32(len(cells)))
-		v.cellsOff = append(v.cellsOff, start+uint32(headLen))
+	if m.self {
+		m.dstart = append(grow(m.dstart, 1), uint32(len(m.dcells)))
+		m.dcells = grow(m.dcells, len(cells))
+		for i := range cells {
+			val := cells[i].child
+			if leaf {
+				val = start + m.aggOffs[i]
+			}
+			m.dcells = append(m.dcells, dcell{rank: cells[i].rank, val: val})
+		}
 	}
 	return id, nil
 }
@@ -632,7 +765,7 @@ func (m *viewMerger) assemble(rootOut uint32) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	tail := 96 + 8*len(m.starts)
+	tail := tailBytes(len(m.starts))
 	for i := range zones {
 		tail += 3*binary.MaxVarintLen64 + len(zones[i].Min) + len(zones[i].Max)
 	}
@@ -651,6 +784,11 @@ func (m *viewMerger) assemble(rootOut uint32) ([]byte, error) {
 	out = appendTrailer(out, m.starts, m.allOffs, uint64(rootOut), nodesStart)
 	return appendMetaTrailer(out, zones), nil
 }
+
+// tailBytes bounds what assemble appends after the records of a stream
+// of the given node count, zone maps aside: the root id and CRC, then the
+// offset trailer.
+func tailBytes(nodes int) int { return 96 + 8*nodes }
 
 // zoneMaps reads the output's zone maps off its ALL chain (see
 // Cube.zoneMaps): the records are canonical, so the level-d node of the
@@ -702,16 +840,16 @@ func (m *viewMerger) zoneMaps(root uint32) ([]ZoneMap, error) {
 	return zones, nil
 }
 
-// grow returns b with room for n more bytes, doubling its capacity when it
-// must grow. append grows a large slice by only 1.25x, so a stream written
-// record by record would otherwise be copied, and left as garbage, many
-// times over. A reused Scratch keeps the grown buffer, so only a build
-// larger than every earlier one pays for growing.
-func grow(b []byte, n int) []byte {
+// grow returns b with room for n more elements, doubling its capacity
+// when it must grow. append grows a large slice by only 1.25x, so a stream
+// or an index written record by record would otherwise be copied, and left
+// as garbage, many times over. A reused Scratch keeps the grown buffers,
+// so only a build larger than every earlier one pays for growing.
+func grow[T any](b []T, n int) []T {
 	if len(b)+n <= cap(b) {
 		return b
 	}
-	return append(make([]byte, 0, 2*cap(b)+n), b...)
+	return append(make([]T, 0, 2*cap(b)+n), b...)
 }
 
 // appendRecordHead frames the start of a node record — level, leaf flag,

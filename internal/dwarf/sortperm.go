@@ -38,6 +38,13 @@ type sortScratch struct {
 	order    []int32 // key ids in key order
 	rank     []int32 // rank[id]: the key's position in key order
 	counts   []int32
+
+	// With ranks requested, ranks[d][i] is fact i's key rank in dimension
+	// d and keys[d] lists dimension d's distinct keys in key order, so
+	// keys[d][ranks[d][i]] is fact i's key: equal keys have equal ranks,
+	// and ranks compare as their keys do.
+	ranks [][]int32
+	keys  [][]string
 }
 
 // sortPerm returns the permutation that stable-sorts f by compareDims:
@@ -50,23 +57,29 @@ type sortScratch struct {
 // each dimension's distinct keys are ranked once with strings.Compare, then
 // one stable counting pass per dimension, last dimension first, orders the
 // permutation by rank. A dimension with a single distinct key needs no
-// pass.
-func sortPerm(f facts, sc *sortScratch) []int32 {
+// pass. With ranked set, the ranks and the ranked keys are kept in
+// sc.ranks and sc.keys for a build to compare keys as integers.
+func sortPerm(f facts, sc *sortScratch, ranked bool) []int32 {
 	n := f.len()
 	perm := slices.Grow(sc.perm[:0], n)[:n]
 	for i := range perm {
 		perm[i] = int32(i)
 	}
 	sc.perm = perm
-	if n < 2 {
+	if n == 0 || n == 1 && !ranked {
 		return perm
+	}
+	nd := len(f.keys(0))
+	if ranked {
+		sc.ranks = slices.Grow(sc.ranks[:0], nd)[:nd]
+		sc.keys = slices.Grow(sc.keys[:0], nd)[:nd]
 	}
 	if sc.ids == nil {
 		sc.ids = make(map[string]int32)
 	}
 	sc.col = slices.Grow(sc.col[:0], n)[:n]
 	sc.tmp = slices.Grow(sc.tmp[:0], n)[:n]
-	for d := len(f.keys(0)) - 1; d >= 0; d-- {
+	for d := nd - 1; d >= 0; d-- {
 		clear(sc.ids)
 		distinct := sc.distinct[:0]
 		var prev string
@@ -88,6 +101,11 @@ func sortPerm(f facts, sc *sortScratch) []int32 {
 		sc.distinct = distinct
 		nk := len(distinct)
 		if nk == 1 {
+			if ranked {
+				sc.ranks[d] = slices.Grow(sc.ranks[d][:0], n)[:n]
+				clear(sc.ranks[d])
+				sc.keys[d] = append(sc.keys[d][:0], distinct[0])
+			}
 			continue
 		}
 		order := slices.Grow(sc.order[:0], nk)[:nk]
@@ -102,6 +120,17 @@ func sortPerm(f facts, sc *sortScratch) []int32 {
 			rank[id] = int32(r)
 		}
 		sc.order, sc.rank = order, rank
+		if ranked {
+			ranks := slices.Grow(sc.ranks[d][:0], n)[:n]
+			for i, id := range sc.col {
+				ranks[i] = rank[id]
+			}
+			keys := slices.Grow(sc.keys[d][:0], nk)[:nk]
+			for r, id := range order {
+				keys[r] = distinct[id]
+			}
+			sc.ranks[d], sc.keys[d] = ranks, keys
+		}
 
 		// Stable counting pass: counts[r] becomes the first output slot
 		// of rank r, and facts are placed in their current order.

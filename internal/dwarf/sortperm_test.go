@@ -17,7 +17,7 @@ var sortKeyAlphabet = []string{"", "a", "ab", "abc", "b", "ba", "\x7f", "\x80", 
 // sort it replaces: the permutation equals slices.SortStableFunc by
 // compareDims, from empty inputs and fold-tail sizes up to a seal's,
 // over duplicate keys carrying distinct measures (so input order among
-// equal keys is observable).
+// equal keys is observable). The kept ranks must name every row's key.
 // One sortScratch serves every case, as it does across a drain's seals.
 func TestSortPermMatchesStableSort(t *testing.T) {
 	var sc sortScratch
@@ -45,9 +45,24 @@ func TestSortPermMatchesStableSort(t *testing.T) {
 		slices.SortStableFunc(want, func(a, b int32) int {
 			return compareDims(tuples[a].Dims, tuples[b].Dims)
 		})
-		got := sortPerm(rawFacts(tuples), &sc)
+		got := sortPerm(rawFacts(tuples), &sc, true)
 		if !slices.Equal(got, want) {
 			t.Fatalf("seed %d: %d rows × %d dims over %d keys: radix permutation differs from the stable sort", seed, n, ndims, card)
+		}
+		if n == 0 {
+			continue
+		}
+		// The ranks name each key and order the keys as strings.Compare.
+		for d := 0; d < ndims; d++ {
+			keys, ranks := sc.keys[d], sc.ranks[d]
+			if len(ranks) != n || !slices.IsSorted(keys) || len(slices.Compact(slices.Clone(keys))) != len(keys) {
+				t.Fatalf("seed %d dim %d: %d ranks for %d rows, keys %q not strictly sorted", seed, d, len(ranks), n, keys)
+			}
+			for i, tu := range tuples {
+				if keys[ranks[i]] != tu.Dims[d] {
+					t.Fatalf("seed %d dim %d row %d: rank %d names %q, key is %q", seed, d, i, ranks[i], keys[ranks[i]], tu.Dims[d])
+				}
+			}
 		}
 	}
 }
