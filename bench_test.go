@@ -193,39 +193,6 @@ func BenchmarkCubeConstruction(b *testing.B) {
 	}
 }
 
-// BenchmarkBuildParallel measures the sharded construction pipeline against
-// the serial baseline at 1/2/4/8 workers (workers-1 runs the serial code
-// path; the cube is structurally identical at every width).
-func BenchmarkBuildParallel(b *testing.B) {
-	b.ReportAllocs()
-	for _, preset := range benchPresets {
-		tuples, err := bench.DatasetTuples(preset)
-		if err != nil {
-			b.Fatal(err)
-		}
-		serial, err := dwarf.New(smartcity.BikeDims, tuples)
-		if err != nil {
-			b.Fatal(err)
-		}
-		want := serial.Stats()
-		for _, workers := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("%s/workers-%d", preset, workers), func(b *testing.B) {
-				b.ReportAllocs()
-				var cube *dwarf.Cube
-				for i := 0; i < b.N; i++ {
-					if cube, err = dwarf.New(smartcity.BikeDims, tuples, dwarf.WithWorkers(workers)); err != nil {
-						b.Fatal(err)
-					}
-				}
-				if got := cube.Stats(); got.Nodes != want.Nodes || got.Cells != want.Cells {
-					b.Fatalf("parallel cube diverged: %+v vs %+v", got, want)
-				}
-				b.ReportMetric(float64(len(tuples)), "tuples")
-			})
-		}
-	}
-}
-
 // BenchmarkPointQuery measures in-memory point and wildcard lookups.
 func BenchmarkPointQuery(b *testing.B) {
 	b.ReportAllocs()

@@ -5,23 +5,18 @@
 //	dwarfbench -exp table5            # insertion times (Table 5)
 //	dwarfbench -exp bao               # §5.1 flat-file baseline comparison
 //	dwarfbench -exp storequery        # on-store point queries per schema model
-//	dwarfbench -exp parallel          # sharded-build ablation (1/2/4/8 workers)
 //	dwarfbench -exp all -presets Day,Week,Month,TMonth,SMonth
 //	dwarfbench -exp all -json BENCH_paper.json
 //
-// -workers N builds the Table 2 cubes with N shard workers (the parallel
-// pipeline in internal/dwarf/parallel.go); the storage experiments reuse
-// one cached cube per preset, where the worker count cannot change the
-// result. The "parallel" experiment sweeps the comma-separated
-// -worker-counts list against a serial baseline and fails unless every
-// parallel cube has the serial cube's structure; -verify loads every saved
+// Table 2 builds each preset's cube with the serial dwarf.New; the storage
+// experiments reuse one cached cube per preset. -verify loads every saved
 // cube back and fails unless it round-trips.
 //
 // Tables 4 and 5 come from the same run (one bulk save per schema model and
 // dataset), exactly as in the paper. The default presets keep runtime small;
 // pass the full list to reproduce the paper's scale (SMonth saves take
 // minutes on the relational schemas, as they did for the authors). "all"
-// runs storequery and parallel on the first preset only.
+// runs storequery on the first preset only.
 //
 // -json also writes every result row of the run to one file, keyed by
 // experiment, with the Go version, GOMAXPROCS and the commit. Serving,
@@ -33,7 +28,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 
 	"repro/internal/bench"
@@ -44,14 +38,11 @@ import (
 const storeQueries = 400
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: table2, table4, table5, bao, storequery, parallel, all")
+	exp := flag.String("exp", "all", "experiment: table2, table4, table5, bao, storequery, all")
 	presetsFlag := flag.String("presets", "Day,Week,Month", "comma-separated Table 2 datasets (Day,Week,Month,TMonth,SMonth)")
 	kindsFlag := flag.String("kinds", "", "comma-separated schema models to run (default: all four)")
 	dir := flag.String("dir", "", "working directory for store files (default: a temp dir)")
 	verify := flag.Bool("verify", false, "also Load each saved cube and check the round trip")
-	workers := flag.Int("workers", 1, "shard workers for -exp table2 cube construction (1 = serial)")
-	workerCounts := flag.String("worker-counts", "1,2,4,8", "worker counts swept by -exp parallel")
-	repeats := flag.Int("repeats", 3, "runs per measurement in -exp parallel (best kept)")
 	jsonOut := flag.String("json", "", "also write all results as one JSON object to this path (e.g. BENCH_paper.json)")
 	quiet := flag.Bool("q", false, "suppress progress lines")
 	flag.Parse()
@@ -81,7 +72,7 @@ func main() {
 	// -json writes under the experiment's name.
 	experiments := map[string]func(presets []string) (any, error){
 		"table2": func(presets []string) (any, error) {
-			rows, err := bench.RunTable2(presets, *workers)
+			rows, err := bench.RunTable2(presets)
 			if err == nil {
 				show(bench.FormatTable2(rows))
 			}
@@ -124,21 +115,6 @@ func main() {
 			show(bench.FormatQuery(all))
 			return all, nil
 		},
-		"parallel": func(presets []string) (any, error) {
-			var counts []int
-			for _, f := range strings.Split(*workerCounts, ",") {
-				n, err := strconv.Atoi(strings.TrimSpace(f))
-				if err != nil || n < 1 {
-					return nil, fmt.Errorf("bad -worker-counts entry %q", f)
-				}
-				counts = append(counts, n)
-			}
-			results, err := bench.RunParallelBuild(presets, counts, *repeats)
-			if err == nil {
-				show(bench.FormatParallelBuild(results))
-			}
-			return results, err
-		},
 	}
 
 	type step struct {
@@ -150,11 +126,11 @@ func main() {
 	case "all":
 		plan = []step{
 			{"table2", presets}, {"storage", presets}, {"bao", presets},
-			{"storequery", presets[:1]}, {"parallel", presets[:1]},
+			{"storequery", presets[:1]},
 		}
 	case "table4", "table5":
 		plan = []step{{"storage", presets}}
-	case "table2", "bao", "storequery", "parallel":
+	case "table2", "bao", "storequery":
 		plan = []step{{*exp, presets}}
 	default:
 		fail(fmt.Errorf("unknown experiment %q", *exp))

@@ -204,9 +204,8 @@ type Table2Row struct {
 }
 
 // RunTable2 generates each preset, measures its emitted XML size and the
-// cube construction stats. workers > 1 runs the sharded parallel build; the
-// cube (and so the reported node/cell counts) is identical either way.
-func RunTable2(presets []string, workers int) ([]Table2Row, error) {
+// cube construction stats.
+func RunTable2(presets []string) ([]Table2Row, error) {
 	var out []Table2Row
 	for _, name := range presets {
 		p, err := smartcity.PresetByName(name)
@@ -226,7 +225,7 @@ func RunTable2(presets []string, workers int) ([]Table2Row, error) {
 			tuples[i] = r.Tuple()
 		}
 		start := time.Now()
-		cube, err := dwarf.New(smartcity.BikeDims, tuples, dwarf.WithWorkers(workers))
+		cube, err := dwarf.New(smartcity.BikeDims, tuples)
 		if err != nil {
 			return nil, err
 		}
@@ -425,100 +424,6 @@ var PaperTable5 = map[mapper.Kind]map[string]string{
 	mapper.KindMySQLMin:   {"Day": "1107", "Week": "5955", "Month": "22243", "TMonth": "47936", "SMonth": "121221"},
 	mapper.KindNoSQLDwarf: {"Day": "927", "Week": "4368", "Month": "15955", "TMonth": "34203", "SMonth": "89257"},
 	mapper.KindNoSQLMin:   {"Day": "5699", "Week": "57153", "Month": "222044", "TMonth": "484498", "SMonth": "1219887"},
-}
-
-// ParallelBuildResult is one (preset, workers) cube-construction
-// measurement of the sharded-build ablation.
-type ParallelBuildResult struct {
-	Preset  string        `json:"preset"`
-	Workers int           `json:"workers"`
-	Tuples  int           `json:"tuples"`
-	Build   time.Duration `json:"build_ns"`
-	// Speedup is serial build time divided by this row's build time (1.0 for
-	// the serial row itself).
-	Speedup float64 `json:"speedup"`
-	Nodes   int     `json:"nodes"`
-	Cells   int     `json:"cells"`
-}
-
-// RunParallelBuild measures cube construction at each worker count over
-// each preset, taking the best of `repeats` runs. The serial builder
-// (workers=1) is always measured first as the Speedup baseline, whether or
-// not 1 appears in workerCounts. It verifies every parallel cube is
-// structurally identical to the serial one — same node and cell counts —
-// and fails loudly otherwise, so the ablation doubles as a correctness
-// gate.
-func RunParallelBuild(presets []string, workerCounts []int, repeats int) ([]ParallelBuildResult, error) {
-	if repeats < 1 {
-		repeats = 1
-	}
-	if len(workerCounts) == 0 {
-		workerCounts = []int{1, 2, 4, 8}
-	}
-	measure := func(tuples []dwarf.Tuple, workers int) (time.Duration, dwarf.Stats, error) {
-		var best time.Duration
-		var st dwarf.Stats
-		for r := 0; r < repeats; r++ {
-			start := time.Now()
-			c, err := dwarf.New(smartcity.BikeDims, tuples, dwarf.WithWorkers(workers))
-			if err != nil {
-				return 0, dwarf.Stats{}, err
-			}
-			if d := time.Since(start); r == 0 || d < best {
-				best = d
-				st = c.Stats()
-			}
-		}
-		return best, st, nil
-	}
-	var out []ParallelBuildResult
-	for _, preset := range presets {
-		tuples, err := DatasetTuples(preset)
-		if err != nil {
-			return nil, err
-		}
-		serialTime, serialStats, err := measure(tuples, 1)
-		if err != nil {
-			return nil, err
-		}
-		for _, workers := range workerCounts {
-			best, st := serialTime, serialStats
-			if workers != 1 {
-				if best, st, err = measure(tuples, workers); err != nil {
-					return nil, err
-				}
-			}
-			if st.Nodes != serialStats.Nodes || st.Cells != serialStats.Cells {
-				return nil, fmt.Errorf("parallel build diverged: %s workers=%d got %d nodes/%d cells, serial %d/%d",
-					preset, workers, st.Nodes, st.Cells, serialStats.Nodes, serialStats.Cells)
-			}
-			speedup := 1.0
-			if best > 0 {
-				speedup = float64(serialTime) / float64(best)
-			}
-			out = append(out, ParallelBuildResult{
-				Preset: preset, Workers: workers, Tuples: len(tuples),
-				Build: best, Speedup: speedup, Nodes: st.Nodes, Cells: st.TotalCells(),
-			})
-		}
-	}
-	return out, nil
-}
-
-// FormatParallelBuild renders the sharded-build ablation.
-func FormatParallelBuild(results []ParallelBuildResult) *Table {
-	t := NewTable("Sharded parallel construction — build time vs serial baseline",
-		"Dataset", "Tuples", "Workers", "Build time", "Speedup", "Nodes", "Cells")
-	for _, r := range results {
-		t.AddRow(r.Preset,
-			fmt.Sprintf("%d", r.Tuples),
-			fmt.Sprintf("%d", r.Workers),
-			r.Build.Round(10*time.Microsecond).String(),
-			fmt.Sprintf("%.2fx", r.Speedup),
-			fmt.Sprintf("%d", r.Nodes),
-			fmt.Sprintf("%d", r.Cells))
-	}
-	return t
 }
 
 // BaoResult is one flat-file baseline measurement for the §5.1 comparison.

@@ -77,7 +77,7 @@ func TestDatasetCacheIsStable(t *testing.T) {
 }
 
 func TestRunTable2(t *testing.T) {
-	rows, err := RunTable2([]string{"Day"}, 1)
+	rows, err := RunTable2([]string{"Day"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,30 +90,6 @@ func TestRunTable2(t *testing.T) {
 	out := FormatTable2(rows).String()
 	if !strings.Contains(out, "7358") || !strings.Contains(out, "Day") {
 		t.Errorf("table2 = %q", out)
-	}
-}
-
-func TestRunParallelBuild(t *testing.T) {
-	results, err := RunParallelBuild([]string{"Day"}, []int{1, 2, 4}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 3 {
-		t.Fatalf("results = %+v", results)
-	}
-	for i, r := range results {
-		if r.Preset != "Day" || r.Tuples != 7358 || r.Build <= 0 {
-			t.Errorf("row %d = %+v", i, r)
-		}
-		// The ablation doubles as a correctness gate: every worker count
-		// must report the serial row's structure.
-		if r.Nodes != results[0].Nodes || r.Cells != results[0].Cells {
-			t.Errorf("row %d structure diverged: %+v vs %+v", i, r, results[0])
-		}
-	}
-	out := FormatParallelBuild(results).String()
-	if !strings.Contains(out, "Day") || !strings.Contains(out, "1.00x") {
-		t.Errorf("parallel table = %q", out)
 	}
 }
 

@@ -32,14 +32,13 @@ func cacheTestOptions() Options {
 }
 
 // Each subtest runs the store's one construction path over its own
-// random sequence; its name is the worker count of the batch cube the
-// answers are held to.
+// random sequence. The names workers1/workers4 predate the serial-only
+// build; the number now only seeds the sequence.
 func TestStoreCacheDifferential(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		workers := workers
 		t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {
 			t.Parallel()
-			ref := []dwarf.Option{dwarf.WithWorkers(workers)}
 			rng := rand.New(rand.NewSource(int64(7000 + workers)))
 			dir := t.TempDir()
 			s, err := Open(dir, cacheTestOptions())
@@ -69,13 +68,13 @@ func TestStoreCacheDifferential(t *testing.T) {
 					// query battery, now answered from the result cache and
 					// cached partials, and must stay bit-identical.
 					seed := rng.Int63()
-					compareStore(t, s, all, ref, rand.New(rand.NewSource(seed)), false)
-					compareStore(t, s, all, ref, rand.New(rand.NewSource(seed)), false)
+					compareStore(t, s, all, nil, rand.New(rand.NewSource(seed)), false)
+					compareStore(t, s, all, nil, rand.New(rand.NewSource(seed)), false)
 				}
 			}
 			seed := rng.Int63()
-			compareStore(t, s, all, ref, rand.New(rand.NewSource(seed)), true)
-			compareStore(t, s, all, ref, rand.New(rand.NewSource(seed)), true)
+			compareStore(t, s, all, nil, rand.New(rand.NewSource(seed)), true)
+			compareStore(t, s, all, nil, rand.New(rand.NewSource(seed)), true)
 			st := s.Stats()
 			if st.CacheHits == 0 || st.CachePartialHits == 0 {
 				t.Fatalf("warm replay never hit the cache: %+v", st)
@@ -95,8 +94,8 @@ func TestStoreCacheDifferential(t *testing.T) {
 			}
 			defer s2.Close()
 			seed = rng.Int63()
-			compareStore(t, s2, all, ref, rand.New(rand.NewSource(seed)), true)
-			compareStore(t, s2, all, ref, rand.New(rand.NewSource(seed)), true)
+			compareStore(t, s2, all, nil, rand.New(rand.NewSource(seed)), true)
+			compareStore(t, s2, all, nil, rand.New(rand.NewSource(seed)), true)
 		})
 	}
 }

@@ -28,9 +28,8 @@ import (
 // TestStoreSealBuildsOnce: a memtable no query touched before its seal is
 // built by exactly one BuildIndexed over its buffered tuples, so the
 // segment it seals into is the batch build's encoding. Each subtest runs
-// its own random sequence; its name is the worker count of the batch build
-// the segment is compared with, since a sharded build encodes the same
-// bytes as a serial one.
+// its own random sequence. The names workers1/workers4 predate the
+// serial-only build; the number now only seeds the sequence.
 func TestStoreSealBuildsOnce(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {
@@ -79,7 +78,7 @@ func TestStoreSealBuildsOnce(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref, err := dwarf.New(testDims, all, dwarf.WithWorkers(workers))
+			ref, err := dwarf.New(testDims, all)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -29,11 +29,6 @@ type Options struct {
 	// input merges) still shares pointers unless DisableSuffixCoalescing
 	// is also set.
 	DisableHashConsing bool
-	// Workers selects the sharded parallel build when > 1: the sorted fact
-	// stream is split into first-dimension key ranges, one builder goroutine
-	// per shard, and the shard roots are stitched into a cube structurally
-	// identical to a serial build (see parallel.go). 0 and 1 build serially.
-	Workers int
 }
 
 // Option mutates Options.
@@ -47,13 +42,6 @@ func WithoutSuffixCoalescing() Option {
 // WithoutHashConsing disables cross-branch identical sub-dwarf detection.
 func WithoutHashConsing() Option {
 	return func(o *Options) { o.DisableHashConsing = true }
-}
-
-// WithWorkers builds the cube with n shard workers. Values <= 1 select the
-// serial builder; values above the number of distinct first-dimension keys
-// are clamped by the shard planner.
-func WithWorkers(n int) Option {
-	return func(o *Options) { o.Workers = n }
 }
 
 // Cube is a built DWARF cube. Cubes are immutable after construction.
@@ -180,15 +168,10 @@ func NewFromAggregates(dims []string, tuples []AggTuple, opts ...Option) (*Cube,
 		fn(&o)
 	}
 
-	var root *Node
-	if o.Workers > 1 {
-		root = buildParallel(len(dims), o, sortTuplesParallel(tuples, o.Workers))
-	} else {
-		root = newBuilder(len(dims), o).buildSorted(sortTuples(tuples))
-	}
+	root := newBuilder(len(dims), o).buildSorted(sortTuples(tuples))
 	// Renumber nodes in a structure-determined order so that any two builds
-	// of the same facts — serial or parallel, any worker count — carry
-	// identical sequence ids and render identical Dumps.
+	// of the same facts, in any input order, carry identical sequence ids
+	// and render identical Dumps.
 	renumber(root)
 	return &Cube{
 		dims:      append([]string(nil), dims...),
@@ -240,8 +223,8 @@ func (b *builder) newNode(level int) *Node {
 }
 
 // sortTuples returns a sorted copy of the facts, the order the paper's
-// single-scan construction (and the shard planner) require: sortPerm's
-// permutation, the one BuildIndexed scans, gathered.
+// single-scan construction requires: sortPerm's permutation, the one
+// BuildIndexed scans, gathered.
 func sortTuples(tuples []AggTuple) []AggTuple {
 	var sc sortScratch
 	perm := sortPerm(aggFacts(tuples), &sc, false)
@@ -255,56 +238,21 @@ func sortTuples(tuples []AggTuple) []AggTuple {
 // buildSorted runs the classic top-down DWARF construction on pre-sorted
 // facts: scan them keeping the path of open nodes, close sub-dwarfs as soon
 // as the scan leaves them (computing their ALL cells via suffix coalescing),
-// share identical closed sub-dwarfs, and finally close the root. It is one
-// full-depth run of the shard-reusable scanRuns core.
+// share identical closed sub-dwarfs, and finally close the root.
 func (b *builder) buildSorted(sorted []AggTuple) *Node {
-	if len(sorted) == 0 {
-		// Empty cube: a bare root with no cells and zero aggregates.
-		return b.close(b.newNode(0))
-	}
-	return b.scanRuns(sorted, 0)[0].sub
-}
-
-// prefixSub is one output unit of scanRuns: a closed level-lo sub-dwarf
-// together with the lo-prefix of dimension keys it lives under.
-type prefixSub struct {
-	prefix []string
-	sub    *Node
-}
-
-// scanRuns is the scan core of construction, reusable by shard workers: it
-// consumes sorted facts and emits one closed (ALL computed, canonicalized)
-// level-lo sub-dwarf per maximal run of facts sharing the same lo-prefix,
-// in run order. Levels above lo are never materialized — the parallel
-// stitch replays them over the emitted units. lo = 0 is the serial build:
-// a single unit holding the closed root.
-func (b *builder) scanRuns(sorted []AggTuple, lo int) []prefixSub {
-	var out []prefixSub
+	b.open[0] = b.newNode(0)
 	var prev []string
 	for ti := range sorted {
 		t := &sorted[ti]
 		p := commonPrefix(prev, t.Dims)
-		if prev != nil && p == b.ndims {
-			// Duplicate key combination: merge into the last leaf cell.
-			leaf := b.open[b.ndims-1]
-			lc := &leaf.Cells[len(leaf.Cells)-1]
-			lc.Agg = MergeAggregates(lc.Agg, t.Agg)
-			continue
-		}
-		switch {
-		case prev == nil:
-			b.open[lo] = b.newNode(lo)
-			p = lo
-		case p < lo:
-			// The lo-prefix changed: the current run's sub-dwarf is
-			// complete. Close it, emit it, and start the next run.
-			for l := b.ndims - 1; l > lo; l-- {
-				b.attachClosed(l)
+		if prev != nil {
+			if p == b.ndims {
+				// Duplicate key combination: merge into the last leaf cell.
+				leaf := b.open[b.ndims-1]
+				lc := &leaf.Cells[len(leaf.Cells)-1]
+				lc.Agg = MergeAggregates(lc.Agg, t.Agg)
+				continue
 			}
-			out = append(out, prefixSub{prefix: prev[:lo], sub: b.close(b.open[lo])})
-			b.open[lo] = b.newNode(lo)
-			p = lo
-		default:
 			// Close everything below the divergence level, deepest first,
 			// attaching each closed node to its parent cell.
 			for l := b.ndims - 1; l > p; l-- {
@@ -323,13 +271,15 @@ func (b *builder) scanRuns(sorted []AggTuple, lo int) []prefixSub {
 		}
 		prev = t.Dims
 	}
-	// Final close of the last open run.
-	for l := b.ndims - 1; l > lo; l-- {
-		b.attachClosed(l)
+	if prev != nil {
+		for l := b.ndims - 1; l > 0; l-- {
+			b.attachClosed(l)
+		}
 	}
-	out = append(out, prefixSub{prefix: prev[:lo], sub: b.close(b.open[lo])})
-	b.open[lo] = nil
-	return out
+	// With no facts the root stays bare: no cells and zero aggregates.
+	root := b.close(b.open[0])
+	b.open[0] = nil
+	return root
 }
 
 // attachClosed closes the open node at level l and stores it as the child
@@ -451,9 +401,8 @@ func (b *builder) canonicalize(n *Node) *Node {
 
 // nodeHash computes the bucket hash of a closed node. Child identity is
 // hashed through the child's seq: canonical children of equal structure are
-// the same pointer and so carry the same seq, which is all correctness
-// needs — seq collisions between nodes of different shard builders merely
-// cost an extra exact compare.
+// the same pointer and so carry the same seq. The hash only picks a bucket;
+// structEqual decides.
 func (b *builder) nodeHash(n *Node) uint64 {
 	var h maphash.Hash
 	h.SetSeed(b.seed)
@@ -532,35 +481,10 @@ func aggBitsEqual(a, b Aggregate) bool {
 		math.Float64bits(a.Max) == math.Float64bits(b.Max)
 }
 
-// recanon re-registers an already-closed sub-dwarf into this builder's
-// hash-consing table, bottom-up, rewriting child pointers to their canonical
-// representatives. The parallel stitch uses it to restore the cross-shard
-// sharing a serial build gets from its single global table: two shards that
-// independently built structurally identical sub-dwarfs end up pointing at
-// one node. memo short-circuits nodes already shared within a shard. The
-// nodes are private to the build, so in-place rewriting is safe.
-func (b *builder) recanon(n *Node, memo map[*Node]*Node) *Node {
-	if n == nil {
-		return nil
-	}
-	if r, ok := memo[n]; ok {
-		return r
-	}
-	if !n.Leaf {
-		for i := range n.Cells {
-			n.Cells[i].Child = b.recanon(n.Cells[i].Child, memo)
-		}
-		n.AllChild = b.recanon(n.AllChild, memo)
-	}
-	r := b.canonicalize(n)
-	memo[n] = r
-	return r
-}
-
 // renumber assigns sequence ids by a deterministic depth-first walk (cells
 // in key order, ALL last — Dump's traversal), numbering each distinct node
-// on first visit. Construction order — and therefore worker count — stops
-// mattering: structurally identical cubes get identical ids.
+// on first visit. Construction order stops mattering: structurally
+// identical cubes get identical ids, which Dump and Node.Seq read.
 func renumber(root *Node) {
 	var seq int64
 	seen := make(map[*Node]bool)
@@ -613,18 +537,6 @@ func compareDims(a, b []string) int {
 		}
 	}
 	return len(a) - len(b)
-}
-
-func lessDims(a, b []string) bool {
-	for i := range a {
-		if i >= len(b) {
-			return false
-		}
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return len(a) < len(b)
 }
 
 func commonPrefix(a, b []string) int {

@@ -3,6 +3,7 @@ package dwarf
 import (
 	"errors"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -131,6 +132,47 @@ func TestUnsortedInputEqualsSorted(t *testing.T) {
 		if !ga.Equal(gb) {
 			t.Errorf("query %v: sorted=%v reversed=%v", q, ga, gb)
 		}
+	}
+}
+
+func dumpString(t *testing.T, c *Cube) string {
+	t.Helper()
+	var sb strings.Builder
+	if err := c.Dump(&sb); err != nil {
+		t.Fatalf("Dump: %v", err)
+	}
+	return sb.String()
+}
+
+// TestShuffledBuildsStructurallyIdentical builds the same random facts in
+// two shuffled orders under every ablation option set and requires the
+// same cube: identical Dump text (structure, sharing and node ids),
+// identical Stats, and both builds passing CheckInvariants. Measures are
+// integers, so duplicate keys fold to the same bits in any order.
+func TestShuffledBuildsStructurallyIdentical(t *testing.T) {
+	for name, opts := range viewOptionSets() {
+		t.Run(name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(17))
+			for round := 0; round < 30; round++ {
+				ndims := 1 + rng.Intn(4)
+				dims := dimNames(ndims)
+				tuples := randomTuples(rng, ndims, rng.Intn(120), 1+rng.Intn(6))
+				var cubes [2]*Cube
+				for i := range cubes {
+					rng.Shuffle(len(tuples), func(a, b int) { tuples[a], tuples[b] = tuples[b], tuples[a] })
+					cubes[i] = mustCube(t, dims, tuples, opts...)
+					if err := cubes[i].CheckInvariants(); err != nil {
+						t.Fatalf("round %d, build %d: invariants: %v", round, i, err)
+					}
+				}
+				if sa, sb := cubes[0].Stats(), cubes[1].Stats(); sa != sb {
+					t.Fatalf("round %d: stats differ: %+v vs %+v", round, sa, sb)
+				}
+				if da, db := dumpString(t, cubes[0]), dumpString(t, cubes[1]); da != db {
+					t.Fatalf("round %d: Dump differs\n--- first ---\n%s--- second ---\n%s", round, da, db)
+				}
+			}
+		})
 	}
 }
 

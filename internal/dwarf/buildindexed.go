@@ -72,9 +72,9 @@ type streamBuilder struct {
 	ranks [][]int32 // sortScratch.ranks
 }
 
-// build is builder.scanRuns at full depth over the facts in sorted order
-// (perm), emitting records instead of linking nodes, and returns the
-// root's id. Measures are lifted as the scan reads them.
+// build is builder.buildSorted over the facts in sorted order (perm),
+// emitting records instead of linking nodes, and returns the root's id.
+// Measures are lifted as the scan reads them.
 func (b *streamBuilder) build(f facts, perm []int32) (uint32, error) {
 	nd := b.m.ndims
 	if len(perm) == 0 {

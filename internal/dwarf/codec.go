@@ -81,7 +81,7 @@ var (
 	ErrCorruptCube = errors.New("dwarf: corrupt cube stream")
 )
 
-// encodeOffsets captures, during one Encode pass, exactly the node index a
+// encodeOffsets captures, during one encode pass, exactly the node index a
 // post-hoc scanEncoded would recover: per-node record and ALL-record
 // offsets (absolute stream positions), the root id and the node section
 // start. EncodeIndexed uses it to attach the v2 trailer without re-scanning
@@ -115,20 +115,10 @@ func (e *encodeOffsets) reset() {
 	clear(e.ids)
 }
 
-// Encode writes the cube to w in the binary cube format.
-func (c *Cube) Encode(w io.Writer) error {
-	idx := encodeOffsetsPool.Get().(*encodeOffsets)
-	data := c.encode(idx)
-	idx.reset()
-	encodeOffsetsPool.Put(idx)
-	_, err := w.Write(data)
-	return err
-}
-
-// encode is the single encoding pass behind Encode and EncodeIndexed: it
-// appends the v1 stream record by record with the framing MergeViews and
-// BuildIndexed use, recording node offsets into idx, and checksums the
-// finished slice once.
+// encode is the v1 encoding pass behind EncodeIndexed: it appends the v1
+// stream record by record with the framing MergeViews and BuildIndexed
+// use, recording node offsets into idx, and checksums the finished slice
+// once.
 func (c *Cube) encode(idx *encodeOffsets) []byte {
 	// Assign ids children-first so references always point backwards.
 	ids := idx.ids
@@ -375,7 +365,7 @@ func VerifyEncoded(data []byte) error {
 	return verifyPayload(v1)
 }
 
-// Decode reads a cube previously written by Encode, verifying the CRC
+// Decode reads a cube previously written by EncodeIndexed, verifying the CRC
 // trailer before parsing. The whole stream is buffered in memory; cube
 // files are bounded by the cube's compressed size.
 func Decode(r io.Reader) (*Cube, error) {

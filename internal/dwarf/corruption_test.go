@@ -55,14 +55,11 @@ func assertClean(t *testing.T, label string, data []byte, wantErr bool) {
 // over both the plain v1 stream and the trailer-carrying one.
 func corruptionBase(t *testing.T) map[string][]byte {
 	c := goldenCube(t)
-	var v1, v2 bytes.Buffer
-	if err := c.Encode(&v1); err != nil {
-		t.Fatal(err)
-	}
+	var v2 bytes.Buffer
 	if err := c.EncodeIndexed(&v2); err != nil {
 		t.Fatal(err)
 	}
-	return map[string][]byte{"v1": v1.Bytes(), "v2": v2.Bytes()}
+	return map[string][]byte{"v1": encodeV1(t, c), "v2": v2.Bytes()}
 }
 
 // TestCorruptionTruncation truncates the stream at every byte boundary —
@@ -203,11 +200,7 @@ func TestCorruptionOversizedFields(t *testing.T) {
 // be rejected at open or never let a query read out of bounds.
 func TestCorruptionForgedTrailer(t *testing.T) {
 	c := goldenCube(t)
-	var buf bytes.Buffer
-	if err := c.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	v1 := buf.Bytes()
+	v1 := encodeV1(t, c)
 
 	forge := func(mutate func(body []byte)) []byte {
 		var idx bytes.Buffer

@@ -19,12 +19,8 @@ func fuzzSeedStreams(tb testing.TB) [][]byte {
 		if err != nil {
 			tb.Fatalf("seed cube: %v", err)
 		}
+		out = append(out, encodeV1(tb, c))
 		var buf bytes.Buffer
-		if err := c.Encode(&buf); err != nil {
-			tb.Fatalf("seed encode: %v", err)
-		}
-		out = append(out, append([]byte(nil), buf.Bytes()...))
-		buf.Reset()
 		if err := c.EncodeIndexed(&buf); err != nil {
 			tb.Fatalf("seed encode indexed: %v", err)
 		}

@@ -27,13 +27,14 @@ import (
 // structurally identical sub-dwarfs are emitted once (content-addressed on
 // their encoded record bytes, exact compare — children are canonical ids
 // already, so byte equality is structural equality), and records are laid
-// down in the same depth-first child-before-parent order Encode uses. The
-// stream is therefore byte-identical to EncodeIndexed of a default-options
-// batch build over the union of the inputs' facts whenever aggregate
-// arithmetic is exact (integer-valued measures; with general floats the
-// structure is still identical and only sum association may differ) and the
-// inputs are base cubes — merging query-derived inputs keeps the FromQuery
-// header flag set, where a batch build of raw facts would clear it. Inputs built with ablation options merge fine — the
+// down in the same depth-first child-before-parent order EncodeIndexed
+// uses. The stream is therefore byte-identical to EncodeIndexed of a
+// default-options batch build over the union of the inputs' facts whenever
+// aggregate arithmetic is exact (integer-valued measures; with general
+// floats the structure is still identical and only sum association may
+// differ) and the inputs are base cubes — merging query-derived inputs
+// keeps the FromQuery header flag set, where a batch build of raw facts
+// would clear it. Inputs built with ablation options merge fine — the
 // output is re-canonicalized regardless of how the inputs were compressed.
 
 // ErrMergeTooLarge reports a merged stream that cannot carry the u32 offset
@@ -439,8 +440,9 @@ func (t *refMemo) insert(e memoSlot) {
 
 // mergeNodes performs the k-way cell merge of refs and emits the resulting
 // record. Cells are visited in key order and children merged depth-first
-// before the node itself — the same post-order Encode's VisitDepthFirst
-// walks, which is what makes output ids line up with a batch build's.
+// before the node itself — the same post-order EncodeIndexed's
+// VisitDepthFirst walks, which is what makes output ids line up with a
+// batch build's.
 func (m *viewMerger) mergeNodes(refs []nref, level int) (uint32, error) {
 	if m.self {
 		return m.mergeSelf(refs, level)
@@ -853,8 +855,8 @@ func grow[T any](b []T, n int) []T {
 }
 
 // appendRecordHead frames the start of a node record — level, leaf flag,
-// key-cell count — for every writer of the format (Encode, MergeViews,
-// BuildIndexed). Cells follow as appendKey plus a child id uvarint or an
+// key-cell count — for every writer of the format (EncodeIndexed,
+// MergeViews, BuildIndexed). Cells follow as appendKey plus a child id uvarint or an
 // appendAggregate, then the ALL record.
 func appendRecordHead(b []byte, level int, leaf bool, ncells int) []byte {
 	b = binary.AppendUvarint(b, uint64(level))

@@ -11,7 +11,7 @@ import (
 
 // The streaming-merge differential suite. The central property: MergeViews
 // over any partition of a fact multiset — however the inputs were built
-// (every ablation option set, serial or sharded) and however they were
+// (every ablation option set) and however they were
 // encoded (plain v1 or v2-indexed) — produces bytes identical to
 // EncodeIndexed of one default-options batch build over the whole multiset.
 // Measures are small integers so aggregate arithmetic is exact and the
@@ -56,14 +56,11 @@ func partition(rng *rand.Rand, tuples []Tuple, parts int) [][]Tuple {
 // both the trailer-index and lazy-scan view paths in the merge.
 func encodeFor(t *testing.T, c *Cube, indexed bool) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	var err error
-	if indexed {
-		err = c.EncodeIndexed(&buf)
-	} else {
-		err = c.Encode(&buf)
+	if !indexed {
+		return encodeV1(t, c)
 	}
-	if err != nil {
+	var buf bytes.Buffer
+	if err := c.EncodeIndexed(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -82,6 +79,8 @@ func batchIndexed(t *testing.T, dims []string, tuples []Tuple) []byte {
 	return buf.Bytes()
 }
 
+// The workers1/workers4 level of the subtest names predates the
+// serial-only build; the number now only seeds the random multiset.
 func TestMergeViewsMatchesBatchBytes(t *testing.T) {
 	ablations := [][]Option{
 		nil,
@@ -102,7 +101,7 @@ func TestMergeViewsMatchesBatchBytes(t *testing.T) {
 					tuples := intTuples(rng, ndims, 40+rng.Intn(160), 1+rng.Intn(5))
 					views := make([]*CubeView, parts)
 					for i, part := range partition(rng, tuples, parts) {
-						c, err := New(dims, part, append([]Option{WithWorkers(workers)}, opts...)...)
+						c, err := New(dims, part, opts...)
 						if err != nil {
 							t.Fatal(err)
 						}

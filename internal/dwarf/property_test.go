@@ -232,16 +232,12 @@ func TestPropertyCodecRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		var buf safeBuffer
-		if err := c.Encode(&buf); err != nil {
-			t.Logf("Encode: %v", err)
-			return false
-		}
-		if err := VerifyEncoded(buf.Bytes()); err != nil {
+		v1 := encodeV1(t, c)
+		if err := VerifyEncoded(v1); err != nil {
 			t.Logf("VerifyEncoded: %v", err)
 			return false
 		}
-		d, err := DecodeBytes(buf.Bytes())
+		d, err := DecodeBytes(v1)
 		if err != nil {
 			t.Logf("Decode: %v", err)
 			return false
@@ -319,14 +315,3 @@ func dimNames(n int) []string {
 	}
 	return out
 }
-
-// safeBuffer is a minimal bytes buffer (avoids importing bytes twice in
-// different test files under one package is fine; this just keeps encode
-// targets explicit).
-type safeBuffer struct{ data []byte }
-
-func (b *safeBuffer) Write(p []byte) (int, error) {
-	b.data = append(b.data, p...)
-	return len(p), nil
-}
-func (b *safeBuffer) Bytes() []byte { return b.data }

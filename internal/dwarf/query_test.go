@@ -237,18 +237,14 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 		t.Errorf("garbage: err = %v", err)
 	}
 	c := mustCube(t, paperDims, paperTuples())
-	var buf safeBuffer
-	if err := c.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	data := append([]byte(nil), buf.Bytes()...)
+	data := encodeV1(t, c)
 	// Flip a payload byte: CRC must catch it.
 	data[len(data)/2] ^= 0xFF
 	if _, err := DecodeBytes(data); !errors.Is(err, ErrCorruptCube) {
 		t.Errorf("tampered: err = %v, want ErrCorruptCube", err)
 	}
 	// Truncated stream.
-	if _, err := DecodeBytes(buf.Bytes()[:10]); err == nil {
+	if _, err := DecodeBytes(encodeV1(t, c)[:10]); err == nil {
 		t.Error("truncated stream decoded without error")
 	}
 }
@@ -256,11 +252,7 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 func TestEncodeDecodeEmptyAndFlag(t *testing.T) {
 	c := mustCube(t, []string{"a"}, nil)
 	c.FromQuery = true
-	var buf safeBuffer
-	if err := c.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	d, err := DecodeBytes(buf.Bytes())
+	d, err := DecodeBytes(encodeV1(t, c))
 	if err != nil {
 		t.Fatal(err)
 	}

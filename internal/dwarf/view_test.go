@@ -41,16 +41,28 @@ func viewOptionSets() map[string][]Option {
 	}
 }
 
+// encodeV1 returns c's plain v1 stream, with no offset trailer and no zone
+// maps: the v1 section of EncodeIndexed's output, copied so the caller may
+// mutate it.
+func encodeV1(tb testing.TB, c *Cube) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	if err := c.EncodeIndexed(&buf); err != nil {
+		tb.Fatalf("EncodeIndexed: %v", err)
+	}
+	v1, _, err := SplitEncoded(buf.Bytes())
+	if err != nil {
+		tb.Fatalf("SplitEncoded: %v", err)
+	}
+	return append([]byte(nil), v1...)
+}
+
 // encodeViews returns the two encodings of c (plain v1 and indexed) opened
 // as views, verifying the indexed one actually carries a trailer.
 func encodeViews(t *testing.T, c *Cube) (plain, indexed *CubeView) {
 	t.Helper()
+	v1 := encodeV1(t, c)
 	var buf bytes.Buffer
-	if err := c.Encode(&buf); err != nil {
-		t.Fatalf("Encode: %v", err)
-	}
-	v1 := append([]byte(nil), buf.Bytes()...)
-	buf.Reset()
 	if err := c.EncodeIndexed(&buf); err != nil {
 		t.Fatalf("EncodeIndexed: %v", err)
 	}
@@ -233,9 +245,11 @@ func assertViewMatchesCube(t *testing.T, c *Cube, v *CubeView, label string) {
 }
 
 // TestViewDifferential is the differential property suite: for every
-// ablation option set and worker count, every answer of every query shape
-// from CubeView equals the in-memory Cube's, for both the scan-indexed and
-// trailer-indexed open paths. CI runs it under -race.
+// ablation option set, every answer of every query shape from CubeView
+// equals the in-memory Cube's, for both the scan-indexed and
+// trailer-indexed open paths. A workers=N subtest checks one pair of fresh
+// views from N parallel readers, so the plain view's lazy index build
+// races the queries. CI runs it under -race.
 func TestViewDifferential(t *testing.T) {
 	tuples := viewTestTuples()
 	names := make([]string, 0, len(viewOptionSets()))
@@ -247,13 +261,18 @@ func TestViewDifferential(t *testing.T) {
 		opts := viewOptionSets()[name]
 		for _, workers := range []int{1, 4, 8} {
 			t.Run(fmt.Sprintf("%s/workers=%d", name, workers), func(t *testing.T) {
-				c, err := New(viewTestDims, tuples, append(opts, WithWorkers(workers))...)
+				c, err := New(viewTestDims, tuples, opts...)
 				if err != nil {
 					t.Fatalf("New: %v", err)
 				}
 				plain, indexed := encodeViews(t, c)
-				assertViewMatchesCube(t, c, plain, "scan-indexed view")
-				assertViewMatchesCube(t, c, indexed, "trailer-indexed view")
+				for r := 0; r < workers; r++ {
+					t.Run(fmt.Sprintf("reader%d", r), func(t *testing.T) {
+						t.Parallel()
+						assertViewMatchesCube(t, c, plain, "scan-indexed view")
+						assertViewMatchesCube(t, c, indexed, "trailer-indexed view")
+					})
+				}
 			})
 		}
 	}
@@ -386,7 +405,7 @@ func TestViewFileRoundTrip(t *testing.T) {
 		encode  func(*Cube, *bytes.Buffer) error
 		indexed bool
 	}{
-		{"plain.dwarf", func(c *Cube, b *bytes.Buffer) error { return c.Encode(b) }, false},
+		{"plain.dwarf", func(c *Cube, b *bytes.Buffer) error { _, err := b.Write(encodeV1(t, c)); return err }, false},
 		{"indexed.dwarf", func(c *Cube, b *bytes.Buffer) error { return c.EncodeIndexed(b) }, true},
 	} {
 		var buf bytes.Buffer

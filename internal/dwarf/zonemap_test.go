@@ -74,11 +74,7 @@ func TestZoneMapsContainFacts(t *testing.T) {
 	checkZones("EncodeIndexed", indexed)
 
 	// The upgrade path (scan-built index) must record the same maps.
-	var v1 bytes.Buffer
-	if err := c.Encode(&v1); err != nil {
-		t.Fatal(err)
-	}
-	upgraded, err := AppendOffsetTrailer(v1.Bytes())
+	upgraded, err := AppendOffsetTrailer(encodeV1(t, c))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,14 +32,15 @@ func serveFixture(t testing.TB, cacheSize int) (string, *dwarf.Cube, *httptest.S
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	var plain, indexed bytes.Buffer
-	if err := cube.Encode(&plain); err != nil {
-		t.Fatal(err)
-	}
+	var indexed bytes.Buffer
 	if err := cube.EncodeIndexed(&indexed); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "plain.dwarf"), plain.Bytes(), 0o644); err != nil {
+	plain, _, err := dwarf.SplitEncoded(indexed.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "plain.dwarf"), plain, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(filepath.Join(dir, "indexed.dwarf"), indexed.Bytes(), 0o644); err != nil {

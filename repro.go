@@ -60,14 +60,6 @@ func BuildCube(dims []string, tuples []Tuple, opts ...CubeOption) (*Cube, error)
 	return dwarf.New(dims, tuples, opts...)
 }
 
-// BuildCubeParallel constructs a DWARF cube with a sharded parallel build:
-// the sorted fact stream is split by first-dimension key ranges and one
-// builder goroutine runs per shard. workers <= 0 uses all CPUs. The result
-// is structurally identical to BuildCube over the same facts.
-func BuildCubeParallel(dims []string, tuples []Tuple, workers int, opts ...CubeOption) (*Cube, error) {
-	return dwarf.NewParallel(dims, tuples, workers, opts...)
-}
-
 // MergeCubes combines two cubes over the same dimensions (incremental
 // maintenance). The result is the cube BuildCube returns over both inputs'
 // facts; see MergeAllCubes.
@@ -241,11 +233,10 @@ func DrillDown(q Querier, fixed map[string]string, dim string) (map[string]Aggre
 	return query.DrillDown(q, fixed, dim)
 }
 
-// Construction ablation switches and the parallel-build worker option.
+// Construction ablation switches.
 var (
 	WithoutSuffixCoalescing = dwarf.WithoutSuffixCoalescing
 	WithoutHashConsing      = dwarf.WithoutHashConsing
-	WithWorkers             = dwarf.WithWorkers
 )
 
 // Storage schema models (the paper's four).

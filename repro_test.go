@@ -228,35 +228,6 @@ func TestFacadeAblationOptions(t *testing.T) {
 	}
 }
 
-func TestFacadeParallelBuild(t *testing.T) {
-	tuples, _ := BikeDataset("Day")
-	serial, err := BuildCube(BikeDims(), tuples)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := BuildCubeParallel(BikeDims(), tuples, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if serial.Stats() != par.Stats() {
-		t.Fatalf("parallel cube diverged: %+v vs %+v", serial.Stats(), par.Stats())
-	}
-	// The option form goes through BuildCube too.
-	opt, err := BuildCube(BikeDims(), tuples, WithWorkers(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if opt.Stats() != serial.Stats() {
-		t.Fatalf("WithWorkers cube diverged: %+v vs %+v", opt.Stats(), serial.Stats())
-	}
-	q := []string{All, All, All, All, All, All, All, All}
-	sa, _ := serial.Point(q...)
-	pa, _ := par.Point(q...)
-	if !sa.Equal(pa) {
-		t.Errorf("ALL query: serial=%v parallel=%v", sa, pa)
-	}
-}
-
 // TestFacadeServing drives the zero-copy serving surface: write an indexed
 // cube file, open it as a view, compare answers, and run the dwarfd
 // service over the same directory.

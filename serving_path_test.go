@@ -17,9 +17,9 @@ import (
 // decoder to *Cube, or a construction option only the node path reads.
 func TestServingPathBuildsNoNodeGraph(t *testing.T) {
 	banned := map[string]bool{
-		"New": true, "NewFromAggregates": true, "NewParallel": true,
+		"New": true, "NewFromAggregates": true,
 		"Decode": true, "DecodeBytes": true,
-		"WithWorkers": true, "WithoutSuffixCoalescing": true, "WithoutHashConsing": true,
+		"WithoutSuffixCoalescing": true, "WithoutHashConsing": true,
 	}
 	for _, dir := range []string{"internal/cubestore", "internal/serve", "internal/cluster"} {
 		files, err := filepath.Glob(filepath.Join(dir, "*.go"))
