@@ -16,8 +16,9 @@ import (
 // write phase does, until twenty seals' worth of tuples are in. One op is
 // one catch-up into a fresh store, timed from the first Append to the last
 // ack; opening the store and draining its seal queue are not timed.
-// Reported: tuples/s over the write phases, fsyncs per batch (one per
-// commit group) and the milliseconds per op that commits waited for the
+// Reported: tuples/s over the write phases, fsyncs per batch (one WAL sync
+// per commit group), the mean WAL sync time per commit group in
+// microseconds, and the milliseconds per op that commits waited for the
 // sealer (backpressure).
 func BenchmarkStoreIngest(b *testing.B) {
 	const (
@@ -32,7 +33,7 @@ func BenchmarkStoreIngest(b *testing.B) {
 	}
 	nb := (len(feed) + batch - 1) / batch
 	var write time.Duration
-	var groups, stalled int64
+	var groups, synced, stalled int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
@@ -65,6 +66,7 @@ func BenchmarkStoreIngest(b *testing.B) {
 		write += time.Since(start)
 		st := s.Stats()
 		groups += st.GroupCommits
+		synced += s.syncNs.Load()
 		stalled += s.backpressureNs.Load()
 		if err := s.Close(); err != nil {
 			b.Fatal(err)
@@ -72,5 +74,6 @@ func BenchmarkStoreIngest(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.N*len(feed))/write.Seconds(), "tuples/s")
 	b.ReportMetric(float64(groups)/float64(b.N*nb), "fsyncs/batch")
+	b.ReportMetric(float64(synced)/1e3/float64(groups), "sync-us/group")
 	b.ReportMetric(float64(stalled)/1e6/float64(b.N), "backpressure-ms/op")
 }

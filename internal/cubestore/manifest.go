@@ -134,7 +134,8 @@ func isStoreTempFile(name string) bool {
 		return false
 	}
 	return strings.HasPrefix(name, manifestName+"-") ||
-		strings.HasPrefix(name, segPrefix) || strings.HasPrefix(name, rollupPrefix)
+		strings.HasPrefix(name, segPrefix) || strings.HasPrefix(name, rollupPrefix) ||
+		strings.HasPrefix(name, walPrefix)
 }
 
 // Exists reports whether dir already holds a store (a manifest is

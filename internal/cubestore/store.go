@@ -2,7 +2,7 @@
 // LSM-of-cubes that makes ingestion durable and continuously queryable.
 // Concurrent Append callers enqueue validated batches into a commit queue;
 // a single committer goroutine group-commits the queue — every pending
-// record written, one fsync for all of them — then appends each batch to
+// record written, one sync for all of them — then appends each batch to
 // the in-memory dwarf.Incremental memtable, a buffer whose tuples are built
 // into encoded runs only when first read, and releases the waiters. When
 // the memtable reaches a size or age threshold it is frozen: a fresh
@@ -75,8 +75,8 @@ type Options struct {
 	// works when called explicitly. Differential tests use this to drive
 	// arbitrary interleavings.
 	DisableAutoCompact bool
-	// NoSync skips the per-Append fsync. Throughput tests only: a crash may
-	// lose acknowledged tuples.
+	// NoSync skips the per-Append WAL sync (and the WAL preparer with it).
+	// Throughput tests only: a crash may lose acknowledged tuples.
 	NoSync bool
 	// CacheBytes bounds the hot-result query cache (internal/qcache): full
 	// GroupBy/Pivot/TopK answers stamped with the store generation, plus
@@ -212,6 +212,17 @@ type Store struct {
 	fatalErr error
 	fatalGen uint64
 	wal      *wal
+	// nextGen is the next unused WAL generation number. Freezes and the
+	// preparer both take numbers from it, so generations stay monotonic;
+	// a freeze that falls back to an appended generation while a
+	// preparation holds a number skips past it.
+	nextGen uint64
+	// prepared is the preparer's ready generation (nil until one is);
+	// prepSize is what the next preparation zero-fills, set by each freeze
+	// of a full generation (planPreparation). prepKick wakes the preparer.
+	prepared *wal
+	prepSize int64
+	prepKick chan struct{}
 	mem      *dwarf.Incremental
 	memCount int
 	memSince time.Time
@@ -280,16 +291,18 @@ type Store struct {
 	compactions atomic.Int64
 	appended    atomic.Int64
 
-	// groupCommits counts committer rounds (each is at most one fsync);
+	// groupCommits counts committer rounds (each is at most one WAL sync);
 	// fsyncsSaved counts synced batches that shared a group leader's fsync
 	// instead of issuing their own, so groupCommits + fsyncsSaved equals
 	// the number of acked synced batches. frozenTotal counts lifetime
 	// freezes. backpressureNs is the time commits spent waiting for the
-	// sealer to free a frozen slot (BenchmarkStoreIngest reports it).
+	// sealer to free a frozen slot, syncNs the time they spent in WAL syncs
+	// (BenchmarkStoreIngest reports both).
 	groupCommits   atomic.Int64
 	fsyncsSaved    atomic.Int64
 	frozenTotal    atomic.Int64
 	backpressureNs atomic.Int64
+	syncNs         atomic.Int64
 
 	// dirSyncErrs counts failed directory syncs after post-commit file
 	// deletions (dead WAL gens, replaced rollups). Not fatal — the orphans
@@ -351,7 +364,8 @@ func (s *Store) setFailpoint(fn func(name string) error) {
 // Open opens (creating if needed) the store rooted at dir: it loads the
 // manifest, deletes orphaned segment and dead WAL files, opens a view over
 // every live segment, replays live WAL generations into a fresh memtable,
-// rotates to a new WAL generation and starts the background compactor.
+// rotates to a new WAL generation and starts the committer, the sealer,
+// the background compactor and, unless NoSync, the WAL preparer.
 func Open(dir string, opts Options) (*Store, error) {
 	opts = opts.withDefaults()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -404,6 +418,7 @@ func Open(dir string, opts Options) (*Store, error) {
 		man:         man,
 		kick:        make(chan struct{}, 1),
 		sealKick:    make(chan struct{}, 1),
+		prepKick:    make(chan struct{}, 1),
 		frozenFreed: make(chan struct{}, 1),
 		closing:     make(chan struct{}),
 	}
@@ -443,6 +458,10 @@ func Open(dir string, opts Options) (*Store, error) {
 	go s.committer()
 	go s.sealer()
 	go s.background()
+	if !opts.NoSync {
+		s.bg.Add(1)
+		go s.preparer()
+	}
 	ok = true
 	return s, nil
 }
@@ -543,8 +562,9 @@ func (s *Store) openSegments() error {
 }
 
 // recoverWAL replays every live WAL generation, oldest first, into a fresh
-// memtable, then rotates to a new generation so appends never extend a file
-// that may end in a torn record.
+// memtable, then rotates to a new appended generation so appends never
+// extend a file that may end in a torn record. A prepared generation no
+// freeze took replays as empty.
 func (s *Store) recoverWAL() error {
 	mem, err := dwarf.NewIncremental(s.dims)
 	if err != nil {
@@ -578,7 +598,9 @@ func (s *Store) recoverWAL() error {
 	if err != nil {
 		return err
 	}
-	return fsyncDir(s.dir)
+	s.wal.attach(nil)
+	s.nextGen = active + 1
+	return syncWALDir(s.dir, active)
 }
 
 // publish installs the current segments + rollups + memtable as the read
@@ -713,7 +735,7 @@ func (s *Store) committer() {
 }
 
 // commitGroup makes one group of batches durable and visible: every record
-// written to the WAL, ONE fsync for all of them, then each batch appended
+// written to the WAL, ONE sync for all of them, then each batch appended
 // to the memtable's buffer (no cube is built here), then the acks.
 // Per-caller semantics are exactly those of the old serialized Append —
 // when done receives nil, that batch is durable (unless NoSync) and
@@ -762,17 +784,8 @@ func (s *Store) commitGroup(group []*commitReq) {
 		}
 		return
 	}
-	var werr error
-	wrote := 0
-	for _, r := range group {
-		if werr = s.wal.writeRecord(r.rec); werr != nil {
-			break
-		}
-		wrote++
-	}
-	if werr == nil && !s.opts.NoSync {
-		werr = s.wal.sync()
-	}
+	synced, werr := s.wal.commit(group, !s.opts.NoSync)
+	s.syncNs.Add(int64(synced))
 	if werr != nil {
 		// Records may be partly or fully on disk without having been
 		// acknowledged; accepting more appends (a client retry, say) into
@@ -786,8 +799,8 @@ func (s *Store) commitGroup(group []*commitReq) {
 		return
 	}
 	s.groupCommits.Add(1)
-	if !s.opts.NoSync && wrote > 1 {
-		s.fsyncsSaved.Add(int64(wrote - 1))
+	if !s.opts.NoSync && len(group) > 1 {
+		s.fsyncsSaved.Add(int64(len(group) - 1))
 	}
 	// Append each batch to the memtable. A failure poisons the store
 	// (logged but not in the memtable: the generation must not be replayed
@@ -842,9 +855,12 @@ func (s *Store) commitGroup(group []*commitReq) {
 // freezeLocked retires the live memtable into the frozen queue and rotates
 // the WAL: a fresh memtable and a new WAL generation are swapped in, and
 // the frozen (memtable, generation-range) pair waits for the background
-// sealer. Callers hold mu. Nothing is written or deleted here — the frozen
-// tuples stay covered by their (now idle) WAL generations until the seal
-// commits, so a crash at any point replays them.
+// sealer. The new generation is the prepared one if the preparer has it
+// ready; otherwise an appended one is created here, never waiting for a
+// preparation, and its directory entry is synced before the first ack into
+// it. Callers hold mu. Nothing is deleted here — the frozen tuples stay
+// covered by their (now idle) WAL generations until the seal commits, so a
+// crash at any point replays them.
 func (s *Store) freezeLocked() error {
 	if s.memCount == 0 {
 		return nil
@@ -853,15 +869,24 @@ func (s *Store) freezeLocked() error {
 	if err != nil {
 		return err
 	}
-	nw, err := openWAL(s.dir, s.wal.gen+1)
-	if err != nil {
-		return err
+	nw := s.prepared
+	if nw != nil {
+		s.prepared = nil
+	} else {
+		if nw, err = openWAL(s.dir, s.nextGen); err != nil {
+			return err
+		}
+		s.nextGen++
+		nw.dirPending = !s.opts.NoSync
 	}
+	s.planPreparation()
 	fz := &frozenMem{mem: s.mem, count: s.memCount, walGenHi: s.wal.gen}
 	// A close error here is not data loss: the frozen memtable holds every
 	// acked tuple and the seal re-grounds disk state on it. (With NoSync a
 	// lost buffered record was already inside the NoSync crash window.)
+	w := s.wal.w
 	s.wal.close()
+	nw.attach(w)
 	s.wal = nw
 	s.mem = mem
 	s.memCount = 0
@@ -871,6 +896,63 @@ func (s *Store) freezeLocked() error {
 	s.publish()
 	s.kickSeal()
 	return nil
+}
+
+// planPreparation wakes the preparer when the generation being frozen
+// filled up: a feed that reaches SealTuples will fill the next generation
+// too, sized as SealTuples at the frozen one's bytes per tuple, plus a
+// quarter, capped at maxPreparedWAL. A generation frozen early (an explicit
+// Seal, SealAge, a bulk load sealing by hand) plans nothing, so such
+// stores write no zeros they would not use. NoSync stores never prepare.
+// Callers hold mu.
+func (s *Store) planPreparation() {
+	if s.opts.NoSync || s.wal.tuples < s.opts.SealTuples {
+		return
+	}
+	size := float64(s.opts.SealTuples) * float64(s.wal.bytes) / float64(s.wal.tuples) * 1.25
+	s.prepSize = int64(min(size, maxPreparedWAL))
+	select {
+	case s.prepKick <- struct{}{}:
+	default:
+	}
+}
+
+// preparer keeps at most one prepared WAL generation ready for the next
+// freeze. Woken by a freeze, it reserves a generation number and runs
+// prepareWAL off the commit path. A freeze that found nothing ready has
+// meanwhile taken a later number, so a preparation that finishes below the
+// live generation is discarded. Close stops a preparation between chunks.
+// A failed preparation is dropped: the next freeze falls back to an
+// appended generation and wakes the preparer again.
+func (s *Store) preparer() {
+	defer s.bg.Done()
+	for {
+		select {
+		case <-s.closing:
+			return
+		case <-s.prepKick:
+		}
+		s.mu.Lock()
+		if s.closed || s.prepared != nil || s.prepSize == 0 {
+			s.mu.Unlock()
+			continue
+		}
+		gen, size := s.nextGen, s.prepSize
+		s.nextGen++
+		s.mu.Unlock()
+		l, err := prepareWAL(s.dir, gen, size, s.closing)
+		if err != nil {
+			continue
+		}
+		s.mu.Lock()
+		if s.closed || gen < s.wal.gen {
+			s.mu.Unlock()
+			l.discard()
+			continue
+		}
+		s.prepared = l
+		s.mu.Unlock()
+	}
 }
 
 func (s *Store) kickSeal() {
@@ -1421,6 +1503,9 @@ func (s *Store) Close() error {
 	// Queries now fail with ErrClosed; each file is unmapped as soon as the
 	// last in-flight lease on it is released.
 	s.retire(nil)
+	if s.prepared != nil {
+		s.prepared.discard()
+	}
 	err := s.wal.close()
 	s.lock.release()
 	return err
@@ -1445,6 +1530,9 @@ func (s *Store) crashClose() {
 	s.sealMu.Lock()
 	s.sealMu.Unlock()
 	s.retire(nil)
+	if s.prepared != nil {
+		s.prepared.abandon()
+	}
 	s.wal.abandon()
 	s.lock.release()
 }
@@ -1531,11 +1619,12 @@ type Stats struct {
 	SegmentsScanned int64 `json:"segments_scanned"`
 	SegmentsPruned  int64 `json:"segments_pruned"`
 
-	// GroupCommits counts committer rounds — each is at most one WAL fsync,
-	// however many concurrent Appends it covered. FsyncsSaved counts synced
-	// batches that rode a group leader's fsync instead of issuing their
-	// own: GroupCommits + FsyncsSaved equals the number of acked synced
-	// batches, and FsyncsSaved is zero under a single writer (or NoSync).
+	// GroupCommits counts committer rounds — each is one WAL sync (none
+	// under NoSync), however many concurrent Appends it covered.
+	// FsyncsSaved counts synced batches that rode a group leader's sync
+	// instead of issuing their own: GroupCommits + FsyncsSaved equals the
+	// number of acked synced batches, and FsyncsSaved is zero under a
+	// single writer (or NoSync).
 	GroupCommits int64 `json:"group_commits"`
 	FsyncsSaved  int64 `json:"fsyncs_saved"`
 

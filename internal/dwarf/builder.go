@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"hash/maphash"
 	"math"
-	"strings"
 )
 
 // Tuple is one fact: a key per dimension plus the measure, the shape the
@@ -527,16 +526,6 @@ func dropNil(nodes []*Node) []*Node {
 		}
 	}
 	return out
-}
-
-// compareDims orders key tuples lexicographically, dimension by dimension.
-func compareDims(a, b []string) int {
-	for i := 0; i < len(a) && i < len(b); i++ {
-		if c := strings.Compare(a[i], b[i]); c != 0 {
-			return c
-		}
-	}
-	return len(a) - len(b)
 }
 
 func commonPrefix(a, b []string) int {

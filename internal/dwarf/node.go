@@ -37,8 +37,10 @@ type Node struct {
 	// AllAgg is the aggregate over all cells (leaf nodes).
 	AllAgg Aggregate
 
-	// seq is a construction-order identifier, unique per distinct node
-	// within a cube. It keys hash-consing and gives codecs a stable id.
+	// seq identifies the node within its cube. While a build runs it is a
+	// creation counter that keys hash-consing; the finished build numbers
+	// every distinct node in pre-order (renumber). A decoded or rebuilt
+	// node carries the id it was stored under.
 	seq int64
 }
 
@@ -51,8 +53,9 @@ type Cell struct {
 	Agg   Aggregate // leaf level
 }
 
-// Seq returns the node's construction-order identifier. Distinct nodes of
-// the same cube have distinct sequence numbers.
+// Seq returns the node's identifier: its pre-order position (cells in key
+// order, ALL last) in a built cube, its stored id in a decoded one.
+// Distinct nodes of the same cube have distinct sequence numbers.
 func (n *Node) Seq() int64 { return n.seq }
 
 // NumCells returns the number of key cells (the ALL cell excluded).

@@ -47,7 +47,8 @@ type sortScratch struct {
 	keys  [][]string
 }
 
-// sortPerm returns the permutation that stable-sorts f by compareDims:
+// sortPerm returns the permutation that stable-sorts f by compareDims
+// (keys compared dimension by dimension; the oracle in sortperm_test.go):
 // perm[i] is the index of the i-th fact in key order, and facts with equal
 // keys keep their input order, so a duplicate fold over the permutation
 // merges them exactly as a stable sort of copies would. The result aliases

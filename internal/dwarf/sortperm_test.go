@@ -5,8 +5,20 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 )
+
+// compareDims orders key tuples lexicographically, dimension by dimension:
+// the order sortPerm implements, and its oracle here.
+func compareDims(a, b []string) int {
+	for i := 0; i < len(a) && i < len(b); i++ {
+		if c := strings.Compare(a[i], b[i]); c != 0 {
+			return c
+		}
+	}
+	return len(a) - len(b)
+}
 
 // sortKeyAlphabet mixes the empty key, keys that are prefixes of each
 // other and bytes at and above 0x80, so the rank order has to agree with
