@@ -146,9 +146,9 @@ func BenchmarkBaoComparison(b *testing.B) {
 }
 
 // BenchmarkCubeConstruction isolates DWARF build cost per dataset scale.
-// Each preset's own row is the bare New; new+encode is what writing a fresh
-// build to a file costs through the node graph, and indexed is the
-// streaming constructor that writes the same bytes directly.
+// Each preset's own row is New, the node graph decoded from the stream
+// build, and indexed is the stream build alone (BuildIndexed), what a
+// seal or a rollup rebuild runs.
 func BenchmarkCubeConstruction(b *testing.B) {
 	b.ReportAllocs()
 	for _, preset := range benchPresets {
@@ -164,21 +164,6 @@ func BenchmarkCubeConstruction(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(len(tuples)), "tuples")
-		})
-		b.Run(preset+"/new+encode", func(b *testing.B) {
-			b.ReportAllocs()
-			var buf bytes.Buffer
-			for i := 0; i < b.N; i++ {
-				cube, err := dwarf.New(smartcity.BikeDims, tuples)
-				if err != nil {
-					b.Fatal(err)
-				}
-				buf.Reset()
-				if err := cube.EncodeIndexed(&buf); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(buf.Len()), "bytes")
 		})
 		b.Run(preset+"/indexed", func(b *testing.B) {
 			b.ReportAllocs()
@@ -308,6 +293,8 @@ func BenchmarkIncrementalMerge(b *testing.B) {
 
 // BenchmarkAblationSuffixCoalescing quantifies DWARF's compression: node
 // counts with full coalescing, hash-consing off, and no sharing at all.
+// When all three run it fails unless each switch the stream builder
+// applies costs nodes: full coalescing < no hash-consing <= no sharing.
 func BenchmarkAblationSuffixCoalescing(b *testing.B) {
 	b.ReportAllocs()
 	tuples, err := bench.DatasetTuples("Day")
@@ -322,19 +309,24 @@ func BenchmarkAblationSuffixCoalescing(b *testing.B) {
 		{"no-hash-consing", []dwarf.Option{dwarf.WithoutHashConsing()}},
 		{"no-sharing", []dwarf.Option{dwarf.WithoutSuffixCoalescing()}},
 	}
+	nodes := make(map[string]int, len(cases))
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {
 			b.ReportAllocs()
-			var nodes int
 			for i := 0; i < b.N; i++ {
 				cube, err := dwarf.New(smartcity.BikeDims, tuples, tc.opts...)
 				if err != nil {
 					b.Fatal(err)
 				}
-				nodes = cube.Stats().Nodes
+				nodes[tc.name] = cube.Stats().Nodes
 			}
-			b.ReportMetric(float64(nodes), "nodes")
+			b.ReportMetric(float64(nodes[tc.name]), "nodes")
 		})
+	}
+	full, noHash, none := nodes["full-coalescing"], nodes["no-hash-consing"], nodes["no-sharing"]
+	if len(nodes) == len(cases) && !(full < noHash && noHash <= none) {
+		b.Fatalf("nodes: %d full coalescing, %d no hash-consing, %d no sharing; want full < no hash-consing <= no sharing",
+			full, noHash, none)
 	}
 }
 

@@ -3,16 +3,18 @@ package dwarf
 import "unsafe"
 
 // BuildIndexed constructs the cube of tuples and returns it in the
-// EncodeIndexed format. It validates like New, and its bytes equal
-// New(dims, tuples).EncodeIndexed, float sums included. No *Node graph is
-// built, and the tuples are never copied: BuildIndexed sorts a permutation
-// of them with New's sort (sortPerm), runs New's sorted scan over it with
-// the same duplicate fold, and closes every node straight into a record
-// through the emitter MergeViews uses. Each ALL cell is one k-way merge of
-// the node's already-emitted children, with the inputs and left-fold order
-// of suffixCoalesce. The merge reads the children as emit kept them
-// decoded, and compares keys by their rank in the sort (mergeSelf), so no
-// record is parsed back and no key compared byte by byte. Stores use it
+// EncodeIndexed format: the paper's single sorted scan (§4). It validates
+// like New, which decodes these same bytes into its node graph. No *Node
+// graph is built, and the tuples are never copied: BuildIndexed sorts a
+// permutation of them (sortPerm), scans it keeping one open node per
+// level, folds duplicate key combinations into their leaf cell, and closes
+// every node straight into a record through the emitter MergeViews uses.
+// Each ALL cell is one k-way merge of the node's already-emitted children,
+// folding matching leaf aggregates left to right in child order. The merge
+// reads the children as emit kept them decoded, and compares keys by their
+// rank in the sort (mergeSelf), so no record is parsed back and no key
+// compared byte by byte. Its bytes equal the node-graph builder's that the
+// package tests keep as an oracle, float sums included. Stores use it
 // wherever a fresh build goes straight to a file.
 func BuildIndexed(dims []string, tuples []Tuple) ([]byte, error) {
 	return new(Scratch).BuildIndexed(dims, tuples)
@@ -25,7 +27,7 @@ func BuildIndexedFromAggregates(dims []string, tuples []AggTuple) ([]byte, error
 	if err != nil {
 		return nil, err
 	}
-	return new(Scratch).build(dims, aggFacts(tuples), uint64(numTuples))
+	return new(Scratch).build(dims, aggFacts(tuples), uint64(numTuples), Options{})
 }
 
 // BuildIndexed is the package BuildIndexed building in sc: the result
@@ -34,18 +36,21 @@ func (sc *Scratch) BuildIndexed(dims []string, tuples []Tuple) ([]byte, error) {
 	if err := validateTuples(dims, tuples); err != nil {
 		return nil, err
 	}
-	if len(dims) == 0 {
-		return nil, ErrNoDimensions
-	}
-	return sc.build(dims, rawFacts(tuples), uint64(len(tuples)))
+	return sc.build(dims, rawFacts(tuples), uint64(len(tuples)), Options{})
 }
 
 // build is BuildIndexed over validated facts. The merger's only input is
 // its own output (self), whose cells emit keeps decoded, keyed by rank.
-func (sc *Scratch) build(dims []string, f facts, numTuples uint64) ([]byte, error) {
+// The ablation options, which only New and NewFromAggregates pass, turn
+// off the emitter's content table and the merge memo (DisableHashConsing)
+// or re-emit every single-input merge as a copy (DisableSuffixCoalescing,
+// which implies the former).
+func (sc *Scratch) build(dims []string, f facts, numTuples uint64, o Options) ([]byte, error) {
 	m := sc.merger(nil, dims, numTuples, false)
-	perm := sortPerm(f, &sc.sort, true)
+	perm := sortPerm(f, &sc.sort)
 	m.self, m.keys = true, sc.sort.keys
+	m.copySingles = o.DisableSuffixCoalescing
+	m.noConsing = o.DisableHashConsing || o.DisableSuffixCoalescing
 	b := streamBuilder{m: m, open: sc.open, refs: sc.refs, ranks: sc.sort.ranks}
 	if len(b.open) < len(dims) {
 		b.open = make([][]mcell, len(dims))
@@ -72,9 +77,9 @@ type streamBuilder struct {
 	ranks [][]int32 // sortScratch.ranks
 }
 
-// build is builder.buildSorted over the facts in sorted order (perm),
-// emitting records instead of linking nodes, and returns the root's id.
-// Measures are lifted as the scan reads them.
+// build scans the facts in sorted order (perm), emitting each node's
+// record as the scan leaves it, and returns the root's id. Measures are
+// lifted as the scan reads them.
 func (b *streamBuilder) build(f facts, perm []int32) (uint32, error) {
 	nd := b.m.ndims
 	if len(perm) == 0 {

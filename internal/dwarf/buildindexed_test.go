@@ -12,8 +12,8 @@ import (
 
 // floatTuples returns n random tuples whose measures are negative,
 // non-integer and spread over magnitudes from 1e-3 to 1e16, so sums change
-// under re-association: only the builder's exact fold order reproduces
-// New's bits.
+// under re-association: only the exact fold order reproduces the
+// oracle's bits.
 func floatTuples(rng *rand.Rand, ndims, n, card int) []Tuple {
 	out := make([]Tuple, n)
 	for i := range out {
@@ -27,32 +27,47 @@ func floatTuples(rng *rand.Rand, ndims, n, card int) []Tuple {
 	return out
 }
 
-// checkBuildIndexed holds BuildIndexed to New(...).EncodeIndexed: the same
-// error for input New rejects, the same bytes otherwise, and a stream that
-// passes VerifyEncoded and opens with OpenView.
+// checkBuildIndexed holds the production constructors to the node-graph
+// oracle (oracle_test.go): BuildIndexed writes the oracle's EncodeIndexed
+// bytes, and under every ablation set New(opts...) has the oracle's bytes
+// and Stats under the same options. Input the oracle rejects gets the
+// same error from both. The stream passes VerifyEncoded and opens with
+// OpenView.
 func checkBuildIndexed(t *testing.T, dims []string, tuples []Tuple) {
 	t.Helper()
 	got, err := BuildIndexed(dims, tuples)
-	ref, refErr := New(dims, tuples)
+	ref, refErr := oracle(dims, tuples)
 	if refErr != nil || err != nil {
 		if refErr == nil || err == nil || err.Error() != refErr.Error() {
-			t.Fatalf("BuildIndexed error %v, New error %v", err, refErr)
+			t.Fatalf("BuildIndexed error %v, oracle error %v", err, refErr)
+		}
+		if _, err := New(dims, tuples); err == nil || err.Error() != refErr.Error() {
+			t.Fatalf("New error %v, oracle error %v", err, refErr)
 		}
 		return
 	}
-	var want bytes.Buffer
-	if err := ref.EncodeIndexed(&want); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want.Bytes()) {
-		t.Fatalf("BuildIndexed differs from New+EncodeIndexed over %d tuples: %d vs %d bytes",
-			len(tuples), len(got), want.Len())
+	if want := ref.encodeIndexed(); !bytes.Equal(got, want) {
+		t.Fatalf("BuildIndexed differs from the oracle's EncodeIndexed over %d tuples: %d vs %d bytes",
+			len(tuples), len(got), len(want))
 	}
 	if err := VerifyEncoded(got); err != nil {
 		t.Fatalf("VerifyEncoded: %v", err)
 	}
 	if _, err := OpenView(got); err != nil {
 		t.Fatalf("OpenView: %v", err)
+	}
+	for name, opts := range viewOptionSets() {
+		c, err := New(dims, tuples, opts...)
+		if err != nil {
+			t.Fatalf("%s: New: %v", name, err)
+		}
+		ref := mustOracle(t, dims, tuples, opts...)
+		if got, want := c.encodeIndexed(), ref.encodeIndexed(); !bytes.Equal(got, want) {
+			t.Fatalf("%s: New differs from the oracle over %d tuples: %d vs %d bytes", name, len(tuples), len(got), len(want))
+		}
+		if got, want := c.Stats(), ref.Stats(); got != want {
+			t.Fatalf("%s: New's stats %+v, the oracle's %+v", name, got, want)
+		}
 	}
 }
 
@@ -104,8 +119,9 @@ func TestBuildIndexedValidation(t *testing.T) {
 }
 
 // TestBuildIndexedFromAggregatesMatchesNew covers pre-aggregated facts
-// (rollup builds): counts and min/max survive, and the header carries the
-// summed count.
+// (rollup builds): BuildIndexedFromAggregates and NewFromAggregates both
+// give the oracle's bytes, so counts and min/max survive, and the header
+// carries the summed count.
 func TestBuildIndexedFromAggregatesMatchesNew(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	dims := dimNames(3)
@@ -119,17 +135,20 @@ func TestBuildIndexedFromAggregatesMatchesNew(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := NewFromAggregates(dims, ats)
+	ref, err := oracleFromAggregates(dims, ats)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want bytes.Buffer
-	if err := ref.EncodeIndexed(&want); err != nil {
+	want := ref.encodeIndexed()
+	if !bytes.Equal(got, want) {
+		t.Fatalf("BuildIndexedFromAggregates differs from the oracle: %d vs %d bytes", len(got), len(want))
+	}
+	c, err := NewFromAggregates(dims, ats)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, want.Bytes()) {
-		t.Fatalf("BuildIndexedFromAggregates differs from NewFromAggregates+EncodeIndexed: %d vs %d bytes",
-			len(got), want.Len())
+	if c.NumSourceTuples() != 400 || !bytes.Equal(c.encodeIndexed(), want) {
+		t.Fatalf("NewFromAggregates: %d source tuples, want 400, or bytes differ from the oracle", c.NumSourceTuples())
 	}
 }
 
@@ -156,9 +175,10 @@ func fuzzTuples(data []byte) ([]string, []Tuple) {
 	return dimNames(ndims), tuples
 }
 
-// FuzzBuildIndexed holds the streaming constructor to New+EncodeIndexed
-// over arbitrary tuple sets: identical bytes, or the identical error for
-// input New rejects.
+// FuzzBuildIndexed holds the stream builder to the node-graph oracle over
+// arbitrary tuple sets (checkBuildIndexed): BuildIndexed's bytes, and
+// New's bytes and Stats under every ablation set, equal the oracle's, or
+// the error is the oracle's for input it rejects.
 func FuzzBuildIndexed(f *testing.F) {
 	enc := func(ndims byte, rows ...any) []byte {
 		out := []byte{ndims}

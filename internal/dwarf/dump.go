@@ -8,8 +8,10 @@ import (
 
 // Dump renders the cube as an indented tree in the style of the paper's
 // Fig. 2: one line per cell, ALL cells last, shared (coalesced) sub-dwarfs
-// printed once and referenced by node id afterwards. Intended for examples
-// and debugging at small scale.
+// printed once and referenced by node id afterwards. A node's id is its
+// position in the cube's encoded stream (children first), so two cubes of
+// the same facts Dump identically. Intended for examples and debugging at
+// small scale.
 func (c *Cube) Dump(w io.Writer) error {
 	if c.root == nil {
 		_, err := fmt.Fprintln(w, "(empty cube)")

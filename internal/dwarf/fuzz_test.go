@@ -212,7 +212,7 @@ func FuzzMetaTrailer(f *testing.F) {
 	})
 }
 
-// The kernel fuzzer compares aggregates with builder.go's aggBitsEqual
+// The kernel fuzzer compares aggregates with oracle_test.go's aggBitsEqual
 // rather than Aggregate.Equal: a fuzzed (checksum-resealed) stream can
 // carry NaN aggregate floats, which == can never equate even when both
 // readers returned the identical bytes.

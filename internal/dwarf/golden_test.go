@@ -12,14 +12,17 @@ import (
 // (plain v1), testdata/golden_v2.dwarf (with the offset trailer) and
 // testdata/golden_v3.dwarf (offset trailer plus zone-map metadata). Any
 // change to its bytes is a format break and must be a deliberate,
-// version-bumped decision.
+// version-bumped decision. It is the node-graph oracle's cube, so the
+// fixtures do not come from the builder they check.
 func goldenCube(tb testing.TB) *Cube {
-	c, err := New([]string{"Year", "Month", "Region", "Kind"}, goldenTuples())
+	c, err := oracle(goldenDims, goldenTuples())
 	if err != nil {
 		tb.Fatalf("golden cube: %v", err)
 	}
 	return c
 }
+
+var goldenDims = []string{"Year", "Month", "Region", "Kind"}
 
 func goldenTuples() []Tuple {
 	return []Tuple{
@@ -65,9 +68,9 @@ func TestWriteGolden(t *testing.T) {
 	}
 }
 
-// TestGoldenByteStable asserts EncodeIndexed and its v1 section reproduce
-// the committed fixtures byte for byte: the on-disk format is stable across
-// refactors.
+// TestGoldenByteStable asserts that the oracle's EncodeIndexed and its v1
+// section, New's EncodeIndexed and BuildIndexed reproduce the committed
+// fixtures byte for byte: the on-disk format is stable across refactors.
 func TestGoldenByteStable(t *testing.T) {
 	wantV1, err := os.ReadFile(goldenPath("golden_v1.dwarf"))
 	if err != nil {
@@ -86,10 +89,7 @@ func TestGoldenByteStable(t *testing.T) {
 	if !bytes.HasPrefix(wantV3, wantV2) {
 		t.Fatal("golden_v3.dwarf does not extend golden_v2.dwarf")
 	}
-	c, err := New([]string{"Year", "Month", "Region", "Kind"}, goldenTuples())
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := goldenCube(t)
 	if v1 := encodeV1(t, c); !bytes.Equal(v1, wantV1) {
 		t.Fatalf("the v1 section is not byte-stable against golden_v1.dwarf (%d vs %d bytes)",
 			len(v1), len(wantV1))
@@ -100,6 +100,16 @@ func TestGoldenByteStable(t *testing.T) {
 	}
 	if !bytes.Equal(buf.Bytes(), wantV3) {
 		t.Fatal("EncodeIndexed is not byte-stable against golden_v3.dwarf")
+	}
+	built, err := New(goldenDims, goldenTuples())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(built.encodeIndexed(), wantV3) {
+		t.Fatal("New's EncodeIndexed is not byte-stable against golden_v3.dwarf")
+	}
+	if data, err := BuildIndexed(goldenDims, goldenTuples()); err != nil || !bytes.Equal(data, wantV3) {
+		t.Fatalf("BuildIndexed is not byte-stable against golden_v3.dwarf (%v)", err)
 	}
 }
 

@@ -28,7 +28,7 @@ func TestIncrementalEqualsBatchBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch, err := New(dims, tuples)
+	batch, err := oracle(dims, tuples)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -455,7 +455,7 @@ func checkRuns(t *testing.T, dims []string, runs *Runs, added []Tuple) {
 			t.Fatalf("run %d holds %d tuples, not over twice run %d's %d", i-1, older, i, newer)
 		}
 	}
-	ref, err := New(dims, added)
+	ref, err := oracle(dims, added)
 	if err != nil {
 		t.Fatal(err)
 	}

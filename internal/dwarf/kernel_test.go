@@ -152,8 +152,9 @@ func kernelSources(t *testing.T, c *Cube) map[string]Source {
 
 // TestKernelDifferential sweeps the 4 ablation option sets × 2 random
 // fact multisets and holds every kernel shape equal across Cube / CubeView
-// and to brute force. The names workers1/workers4 predate the serial-only
-// build; the number now only seeds the multiset.
+// and to brute force; the cube is the node-graph oracle's. The names
+// workers1/workers4 predate the serial-only build; the number now only
+// seeds the multiset.
 func TestKernelDifferential(t *testing.T) {
 	dims := []string{"A", "B", "C"}
 	card := []int{4, 3, 5}
@@ -175,7 +176,7 @@ func TestKernelDifferential(t *testing.T) {
 					}
 					tuples[i] = Tuple{Dims: keys, Measure: float64(rng.Intn(19) - 6)}
 				}
-				c, err := New(dims, tuples, opts...)
+				c, err := oracle(dims, tuples, opts...)
 				if err != nil {
 					t.Fatal(err)
 				}

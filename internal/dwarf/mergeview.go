@@ -275,6 +275,12 @@ type viewMerger struct {
 	dcells  []dcell
 	aggOffs []uint32
 
+	// The ablation switches of a build under New's options: noConsing
+	// skips the content table and the multi memo, so every emit is a new
+	// record and every k-way merge runs afresh; copySingles re-emits a
+	// single-input merge as a copy instead of returning its input.
+	noConsing, copySingles bool
+
 	// single memoizes the translation of one input sub-dwarf, densely:
 	// single[view][id-1] is its output id, 0 when not merged yet. multi
 	// memoizes genuine k-way merges by their input reference set.
@@ -306,6 +312,7 @@ func (sc *Scratch) merger(views []*CubeView, dims []string, numTuples uint64, fr
 	m.starts, m.allOffs, m.hashes = m.starts[:0], m.allOffs[:0], m.hashes[:0]
 	clear(m.canon)
 	m.self, m.keys = false, nil
+	m.noConsing, m.copySingles = false, false
 	m.dstart, m.dcells = m.dstart[:0], m.dcells[:0]
 	m.single = slices.Grow(m.single[:0], len(views))[:len(views)]
 	for i, v := range views {
@@ -326,6 +333,9 @@ func (sc *Scratch) merger(views []*CubeView, dims []string, numTuples uint64, fr
 func (m *viewMerger) merge(refs []nref, level int) (uint32, error) {
 	if len(refs) == 1 {
 		r := refs[0]
+		if m.copySingles {
+			return m.mergeSelf(refs, level)
+		}
 		if m.self {
 			return uint32(r.id), nil
 		}
@@ -342,6 +352,9 @@ func (m *viewMerger) merge(refs []nref, level int) (uint32, error) {
 			memo[r.id-1] = id
 		}
 		return id, err
+	}
+	if m.noConsing {
+		return m.mergeNodes(refs, level)
 	}
 	m.key = m.key[:0]
 	for _, r := range refs {
@@ -497,8 +510,8 @@ func (m *viewMerger) mergeNodes(refs []nref, level int) (uint32, error) {
 			break
 		}
 		if leaf {
-			// Fold matching leaf aggregates in input order — the same
-			// left-fold the builder's suffixCoalesce performs.
+			// Fold matching leaf aggregates left to right in input
+			// order, the fold a build's ALL merge (mergeSelf) performs.
 			var agg Aggregate
 			for _, i := range sc.match {
 				it := &sc.iters[i]
@@ -692,13 +705,15 @@ func (m *viewMerger) emit(level int, leaf bool, cells []mcell, allID uint32, all
 	}
 	m.rec = rec
 
-	h := maphash.Bytes(m.seed, rec)
-	mask := uint64(len(m.canon) - 1)
-	slot := h & mask
-	for ; m.canon[slot] != 0; slot = (slot + 1) & mask {
-		if id := m.canon[slot]; m.hashes[id-1] == h && bytes.Equal(rec, m.record(id)) {
-			m.shared++
-			return id, nil
+	var h, slot uint64
+	if !m.noConsing {
+		h = maphash.Bytes(m.seed, rec)
+		mask := uint64(len(m.canon) - 1)
+		for slot = h & mask; m.canon[slot] != 0; slot = (slot + 1) & mask {
+			if id := m.canon[slot]; m.hashes[id-1] == h && bytes.Equal(rec, m.record(id)) {
+				m.shared++
+				return id, nil
+			}
 		}
 	}
 	if len(m.buf)+len(rec) > maxStreamBytes {
@@ -712,10 +727,12 @@ func (m *viewMerger) emit(level int, leaf bool, cells []mcell, allID uint32, all
 	m.allOffs = append(grow(m.allOffs, 1), start+uint32(allOff))
 	id := uint32(len(m.starts))
 	m.hashes = append(grow(m.hashes, 1), h)
-	if 2*len(m.starts) > len(m.canon) {
-		m.rehash()
-	} else {
-		m.canon[slot] = id
+	if !m.noConsing {
+		if 2*len(m.starts) > len(m.canon) {
+			m.rehash()
+		} else {
+			m.canon[slot] = id
+		}
 	}
 	m.cells += len(cells)
 	if m.self {

@@ -66,17 +66,11 @@ func encodeFor(t *testing.T, c *Cube, indexed bool) []byte {
 	return buf.Bytes()
 }
 
+// batchIndexed is the batch reference the merge suites compare against:
+// the node-graph oracle's stream for the union of the facts.
 func batchIndexed(t *testing.T, dims []string, tuples []Tuple) []byte {
 	t.Helper()
-	ref, err := New(dims, tuples)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := ref.EncodeIndexed(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+	return mustOracle(t, dims, tuples).encodeIndexed()
 }
 
 // The workers1/workers4 level of the subtest names predates the

@@ -37,10 +37,11 @@ type Node struct {
 	// AllAgg is the aggregate over all cells (leaf nodes).
 	AllAgg Aggregate
 
-	// seq identifies the node within its cube. While a build runs it is a
-	// creation counter that keys hash-consing; the finished build numbers
-	// every distinct node in pre-order (renumber). A decoded or rebuilt
-	// node carries the id it was stored under.
+	// seq is the node's id in its cube's stream: its 1-based position in
+	// the children-first record order (see the codec), for built and
+	// decoded cubes alike, since New decodes BuildIndexed's stream. A node
+	// rebuilt by a storage mapper (NewNode) carries the id it was stored
+	// under. Dump prints it.
 	seq int64
 }
 
@@ -52,11 +53,6 @@ type Cell struct {
 	Child *Node     // non-leaf levels
 	Agg   Aggregate // leaf level
 }
-
-// Seq returns the node's identifier: its pre-order position (cells in key
-// order, ALL last) in a built cube, its stored id in a decoded one.
-// Distinct nodes of the same cube have distinct sequence numbers.
-func (n *Node) Seq() int64 { return n.seq }
 
 // NumCells returns the number of key cells (the ALL cell excluded).
 func (n *Node) NumCells() int { return len(n.Cells) }

@@ -172,7 +172,7 @@ func TestPropertyRangeMatchesBruteForce(t *testing.T) {
 }
 
 // TestPropertyMergeEqualsUnionBuild: MergeViewsBytes over BuildIndexed(A)
-// and BuildIndexed(B) is byte-identical to New(A ∪ B).EncodeIndexed, and
+// and BuildIndexed(B) is byte-identical to the oracle's stream of A ∪ B, and
 // leaves its inputs' bytes untouched.
 func TestPropertyMergeEqualsUnionBuild(t *testing.T) {
 	prop := func(seed int64) bool {

@@ -39,10 +39,10 @@ type sortScratch struct {
 	rank     []int32 // rank[id]: the key's position in key order
 	counts   []int32
 
-	// With ranks requested, ranks[d][i] is fact i's key rank in dimension
-	// d and keys[d] lists dimension d's distinct keys in key order, so
-	// keys[d][ranks[d][i]] is fact i's key: equal keys have equal ranks,
-	// and ranks compare as their keys do.
+	// ranks[d][i] is fact i's key rank in dimension d, and keys[d] lists
+	// dimension d's distinct keys in key order, so keys[d][ranks[d][i]] is
+	// fact i's key: equal keys have equal ranks, and ranks compare as
+	// their keys do.
 	ranks [][]int32
 	keys  [][]string
 }
@@ -58,23 +58,21 @@ type sortScratch struct {
 // each dimension's distinct keys are ranked once with strings.Compare, then
 // one stable counting pass per dimension, last dimension first, orders the
 // permutation by rank. A dimension with a single distinct key needs no
-// pass. With ranked set, the ranks and the ranked keys are kept in
-// sc.ranks and sc.keys for a build to compare keys as integers.
-func sortPerm(f facts, sc *sortScratch, ranked bool) []int32 {
+// pass. The ranks and the ranked keys are kept in sc.ranks and sc.keys
+// for the build to compare keys as integers.
+func sortPerm(f facts, sc *sortScratch) []int32 {
 	n := f.len()
 	perm := slices.Grow(sc.perm[:0], n)[:n]
 	for i := range perm {
 		perm[i] = int32(i)
 	}
 	sc.perm = perm
-	if n == 0 || n == 1 && !ranked {
+	if n == 0 {
 		return perm
 	}
 	nd := len(f.keys(0))
-	if ranked {
-		sc.ranks = slices.Grow(sc.ranks[:0], nd)[:nd]
-		sc.keys = slices.Grow(sc.keys[:0], nd)[:nd]
-	}
+	sc.ranks = slices.Grow(sc.ranks[:0], nd)[:nd]
+	sc.keys = slices.Grow(sc.keys[:0], nd)[:nd]
 	if sc.ids == nil {
 		sc.ids = make(map[string]int32)
 	}
@@ -102,11 +100,9 @@ func sortPerm(f facts, sc *sortScratch, ranked bool) []int32 {
 		sc.distinct = distinct
 		nk := len(distinct)
 		if nk == 1 {
-			if ranked {
-				sc.ranks[d] = slices.Grow(sc.ranks[d][:0], n)[:n]
-				clear(sc.ranks[d])
-				sc.keys[d] = append(sc.keys[d][:0], distinct[0])
-			}
+			sc.ranks[d] = slices.Grow(sc.ranks[d][:0], n)[:n]
+			clear(sc.ranks[d])
+			sc.keys[d] = append(sc.keys[d][:0], distinct[0])
 			continue
 		}
 		order := slices.Grow(sc.order[:0], nk)[:nk]
@@ -121,17 +117,15 @@ func sortPerm(f facts, sc *sortScratch, ranked bool) []int32 {
 			rank[id] = int32(r)
 		}
 		sc.order, sc.rank = order, rank
-		if ranked {
-			ranks := slices.Grow(sc.ranks[d][:0], n)[:n]
-			for i, id := range sc.col {
-				ranks[i] = rank[id]
-			}
-			keys := slices.Grow(sc.keys[d][:0], nk)[:nk]
-			for r, id := range order {
-				keys[r] = distinct[id]
-			}
-			sc.ranks[d], sc.keys[d] = ranks, keys
+		ranks := slices.Grow(sc.ranks[d][:0], n)[:n]
+		for i, id := range sc.col {
+			ranks[i] = rank[id]
 		}
+		keys := slices.Grow(sc.keys[d][:0], nk)[:nk]
+		for r, id := range order {
+			keys[r] = distinct[id]
+		}
+		sc.ranks[d], sc.keys[d] = ranks, keys
 
 		// Stable counting pass: counts[r] becomes the first output slot
 		// of rank r, and facts are placed in their current order.

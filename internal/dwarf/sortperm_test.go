@@ -57,7 +57,7 @@ func TestSortPermMatchesStableSort(t *testing.T) {
 		slices.SortStableFunc(want, func(a, b int32) int {
 			return compareDims(tuples[a].Dims, tuples[b].Dims)
 		})
-		got := sortPerm(rawFacts(tuples), &sc, true)
+		got := sortPerm(rawFacts(tuples), &sc)
 		if !slices.Equal(got, want) {
 			t.Fatalf("seed %d: %d rows × %d dims over %d keys: radix permutation differs from the stable sort", seed, n, ndims, card)
 		}

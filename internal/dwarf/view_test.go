@@ -246,10 +246,11 @@ func assertViewMatchesCube(t *testing.T, c *Cube, v *CubeView, label string) {
 
 // TestViewDifferential is the differential property suite: for every
 // ablation option set, every answer of every query shape from CubeView
-// equals the in-memory Cube's, for both the scan-indexed and
-// trailer-indexed open paths. A workers=N subtest checks one pair of fresh
-// views from N parallel readers, so the plain view's lazy index build
-// races the queries. CI runs it under -race.
+// equals the in-memory Cube's, the node-graph oracle's under the same
+// options, for both the scan-indexed and trailer-indexed open paths. A
+// workers=N subtest checks one pair of fresh views from N parallel
+// readers, so the plain view's lazy index build races the queries. CI runs
+// it under -race.
 func TestViewDifferential(t *testing.T) {
 	tuples := viewTestTuples()
 	names := make([]string, 0, len(viewOptionSets()))
@@ -261,9 +262,9 @@ func TestViewDifferential(t *testing.T) {
 		opts := viewOptionSets()[name]
 		for _, workers := range []int{1, 4, 8} {
 			t.Run(fmt.Sprintf("%s/workers=%d", name, workers), func(t *testing.T) {
-				c, err := New(viewTestDims, tuples, opts...)
+				c, err := oracle(viewTestDims, tuples, opts...)
 				if err != nil {
-					t.Fatalf("New: %v", err)
+					t.Fatalf("oracle: %v", err)
 				}
 				plain, indexed := encodeViews(t, c)
 				for r := 0; r < workers; r++ {

@@ -10,11 +10,13 @@ import (
 	"testing"
 )
 
-// TestServingPathBuildsNoNodeGraph keeps node-graph construction out of
-// the live store, the server and the cluster: they build, merge and read
-// encoded bytes only (BuildIndexed, MergeViews, CubeView). It fails when a
-// non-test file of those packages names a node-graph constructor, a
-// decoder to *Cube, or a construction option only the node path reads.
+// TestServingPathBuildsNoNodeGraph keeps node graphs out of the live
+// store, the server and the cluster: they build, merge and read encoded
+// bytes only (BuildIndexed, MergeViews, CubeView). It fails when a non-test
+// file of those packages names New, NewFromAggregates or a Decode, each of
+// which materializes a *Cube graph, or an ablation option: the serving
+// path never writes an ablated segment, whose sharing a merge would not
+// reproduce.
 func TestServingPathBuildsNoNodeGraph(t *testing.T) {
 	banned := map[string]bool{
 		"New": true, "NewFromAggregates": true,
